@@ -30,21 +30,21 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pm_serve::{
-    client::connect_stream, fetch_stats, push_bytes_keyed, session_preface, JournalEnv, JournalIo,
-    Listen, PushResponse, ServeConfig, Server, SessionStatus, JOURNAL_FILE_MAGIC,
+    client::{connect_stream, ClientConn},
+    fetch_stats, session_preface, JournalEnv, JournalIo, Listen, PushResponse, ServeConfig, Server,
+    SessionStatus, JOURNAL_FILE_MAGIC,
 };
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode};
+use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
-use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
+use pmdebugger::{DebuggerConfig, PersistencyModel};
 
-use crate::budget::{splitmix64, Truncation};
-use crate::report::json_escape;
-use crate::serve_sweep::ServeViolation;
+use crate::budget::splitmix64;
+use crate::serve_sweep::push_with_retry;
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// How the injected journal filesystem misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,17 +276,6 @@ impl CrashPlan {
             CrashPlan::Kill9Subprocess => "kill9_subprocess",
         }
     }
-
-    /// Every plan, in the order `plan_mix` reports them.
-    pub const ALL: [CrashPlan; 7] = [
-        CrashPlan::CleanRun,
-        CrashPlan::KillMidStream,
-        CrashPlan::TornTail,
-        CrashPlan::DroppedFsync,
-        CrashPlan::ShortWrite,
-        CrashPlan::Enospc,
-        CrashPlan::Kill9Subprocess,
-    ];
 }
 
 /// The plan for sweep index `i` under `seed` — a pure function, so a
@@ -301,130 +290,6 @@ pub fn crash_plan_for(seed: u64, index: u64) -> CrashPlan {
         70..=79 => CrashPlan::ShortWrite,
         80..=89 => CrashPlan::Enospc,
         _ => CrashPlan::Kill9Subprocess,
-    }
-}
-
-/// Tuning for one [`daemon_crash_sweep`].
-#[derive(Debug, Clone)]
-pub struct DaemonCrashOptions {
-    /// Crash plans to run.
-    pub plans: usize,
-    /// Base seed; plan `i` derives its scenario and payload from it.
-    pub seed: u64,
-    /// Wall-clock ceiling for the whole sweep (`None` = unbounded).
-    pub wall_clock: Option<Duration>,
-    /// Path to a `pmdbg` binary for the real `kill -9` subprocess
-    /// plans; `None` runs those plans in-process instead.
-    pub pmdbg_exe: Option<PathBuf>,
-}
-
-impl Default for DaemonCrashOptions {
-    fn default() -> Self {
-        DaemonCrashOptions {
-            plans: 100,
-            seed: 0xD0_0D1E,
-            wall_clock: None,
-            pmdbg_exe: None,
-        }
-    }
-}
-
-/// Outcome of one daemon-crash sweep.
-#[derive(Debug, Clone, Default)]
-pub struct DaemonCrashReport {
-    /// Plans the sweep was asked to run.
-    pub plans_planned: usize,
-    /// Plans actually run (less only under truncation).
-    pub plans_run: usize,
-    /// Host panics plus unrecoverable sweep-side failures — the
-    /// zero-abort oracle.
-    pub aborts: u64,
-    /// Fenced verdicts a later push recomputed instead of replaying.
-    pub verdicts_lost: u64,
-    /// Re-pushes of a completed key that returned a *different* verdict.
-    pub verdicts_duplicated: u64,
-    /// Responses answered from the verdict ledger (`replayed:true`).
-    pub replayed_from_ledger: u64,
-    /// Sessions the restarted daemon resumed from a durable checkpoint.
-    pub resumed_from_checkpoint: u64,
-    /// Torn/corrupt journal regions recovery discarded, across all
-    /// restarts.
-    pub torn_discarded_total: u64,
-    /// Plans run per kind, in [`CrashPlan::ALL`] order.
-    pub plan_mix: Vec<(&'static str, u64)>,
-    /// Every broken invariant.
-    pub violations: Vec<ServeViolation>,
-    /// Budget bounds that were hit.
-    pub truncations: Vec<Truncation>,
-    /// Sweep wall time in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl DaemonCrashReport {
-    /// The sweep's verdict: no aborts, no verdict loss or duplication,
-    /// no broken invariants.
-    pub fn ok(&self) -> bool {
-        self.aborts == 0
-            && self.verdicts_lost == 0
-            && self.verdicts_duplicated == 0
-            && self.violations.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled like the
-    /// other chaos reports; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"plans_planned\":{},", self.plans_planned));
-        out.push_str(&format!("\"plans_run\":{},", self.plans_run));
-        out.push_str(&format!("\"aborts\":{},", self.aborts));
-        out.push_str(&format!("\"verdicts_lost\":{},", self.verdicts_lost));
-        out.push_str(&format!(
-            "\"verdicts_duplicated\":{},",
-            self.verdicts_duplicated
-        ));
-        out.push_str(&format!(
-            "\"replayed_from_ledger\":{},",
-            self.replayed_from_ledger
-        ));
-        out.push_str(&format!(
-            "\"resumed_from_checkpoint\":{},",
-            self.resumed_from_checkpoint
-        ));
-        out.push_str(&format!(
-            "\"torn_discarded_total\":{},",
-            self.torn_discarded_total
-        ));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"plan_mix\":{");
-        for (i, (name, count)) in self.plan_mix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{count}"));
-        }
-        out.push_str("},\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"plan\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.index,
-                v.plan,
-                json_escape(v.kind),
-                json_escape(&v.detail),
-            ));
-        }
-        out.push_str("],\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -458,8 +323,10 @@ fn batch_hash(bytes: &[u8]) -> String {
     let events = ingest_bytes(bytes, IngestMode::Salvage, &IngestLimits::default())
         .map(|(trace, _)| trace.events().to_vec())
         .unwrap_or_default();
-    let mut det = PmDebugger::new(DebuggerConfig::for_model(PersistencyModel::Strict));
-    format!("{:016x}", report_hash(&det.detect_stream(events.iter())))
+    hash_hex(&batch_reports(
+        &DebuggerConfig::for_model(PersistencyModel::Strict),
+        &events,
+    ))
 }
 
 /// Polls `pred` every 5 ms until it holds or `timeout` passes.
@@ -476,29 +343,6 @@ fn wait_for(pred: impl Fn() -> bool, timeout: Duration) -> bool {
     }
 }
 
-/// The stable verdict subset compared across replays: anything that
-/// differs here means two different verdicts were emitted for one key.
-fn verdict_fingerprint(r: &PushResponse) -> (String, u64, u64, String) {
-    (
-        r.report_hash.clone(),
-        r.bugs_total,
-        r.events_committed,
-        format!("{:?}", r.status),
-    )
-}
-
-/// Pushes keyed bytes, absorbing one busy answer.
-fn push_keyed_retry(listen: &Listen, key: &str, bytes: &[u8]) -> io::Result<PushResponse> {
-    let response = push_bytes_keyed(listen, key, bytes)?;
-    if response.status != SessionStatus::Busy {
-        return Ok(response);
-    }
-    std::thread::sleep(Duration::from_millis(
-        response.retry_after_ms.unwrap_or(100),
-    ));
-    push_bytes_keyed(listen, key, bytes)
-}
-
 /// Counter value from a live server's stats manifest (0 when stats are
 /// unavailable — tallies degrade, oracles never depend on them alone).
 fn stats_counter(listen: &Listen, name: &str) -> u64 {
@@ -509,97 +353,97 @@ fn stats_counter(listen: &Listen, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn next_socket(tag: &str) -> PathBuf {
-    static NEXT: AtomicU32 = AtomicU32::new(0);
-    std::env::temp_dir().join(format!(
-        "pmdbg-dcrash-{tag}-{}-{}.sock",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
+/// Pushes keyed bytes, absorbing one busy answer.
+fn push_keyed_retry(listen: &Listen, key: &str, bytes: &[u8]) -> io::Result<PushResponse> {
+    push_with_retry(listen, Some(key), bytes).map(|(response, _)| response)
 }
 
-fn next_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU32 = AtomicU32::new(0);
-    std::env::temp_dir().join(format!(
-        "pmdbg-dcrash-jrnl-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
+/// Connects and streams the session preface plus the first 70% of
+/// `bytes`, holding the connection open mid-session.
+fn push_prefix(listen: &Listen, key: &str, bytes: &[u8]) -> io::Result<ClientConn> {
+    let mut conn = connect_stream(listen)?;
+    conn.write_all(&session_preface(key))?;
+    conn.write_all(&bytes[..bytes.len() * 7 / 10])?;
+    conn.flush()?;
+    Ok(conn)
 }
 
-/// Context shared by the per-plan runners.
-struct PlanRun<'a> {
-    report: &'a mut DaemonCrashReport,
-    index: usize,
-    plan: CrashPlan,
+/// The restarted daemon's half of a plan: count the torn regions its
+/// recovery discarded, re-push the key, and check the answer — a replay
+/// of the verdict `completed` before the restart, or an interrupted
+/// session finishing batch-identical (never claiming a replay) and then
+/// replaying — and count the sessions it resumed.
+fn after_restart(
+    listen: &Listen,
+    key: &str,
+    bytes: &[u8],
+    completed: Option<&PushResponse>,
+    steps: &mut Vec<Step>,
+) {
+    steps.push(Step::TornDiscarded(stats_counter(
+        listen,
+        "journal.torn_discarded",
+    )));
+    match (push_keyed_retry(listen, key, bytes), completed) {
+        // The verdict was fenced before the (clean) restart: this push
+        // must come back from the durable ledger. Replayed lines skip
+        // the final check (already checked before the restart).
+        (Ok(response), Some(first)) => {
+            let replayed = response.replayed;
+            steps.push(Step::Replay(
+                Box::new(first.clone()),
+                Box::new(response.clone()),
+            ));
+            if !replayed {
+                steps.push(Step::Final(Box::new(response)));
+            }
+        }
+        (Ok(response), None) => {
+            if response.replayed {
+                steps.push(Step::Phantom);
+            }
+            steps.push(Step::Final(Box::new(response.clone())));
+            match push_keyed_retry(listen, key, bytes) {
+                Ok(again) => steps.push(Step::Replay(Box::new(response), Box::new(again))),
+                Err(e) => steps.push(Step::Violation("push-io", e.to_string())),
+            }
+        }
+        (Err(e), _) => steps.push(Step::Violation("push-io", e.to_string())),
+    }
+    steps.push(Step::Resumed(stats_counter(
+        listen,
+        "journal.sessions_resumed",
+    )));
 }
 
-impl PlanRun<'_> {
-    fn violation(&mut self, kind: &'static str, detail: String) {
-        self.report.violations.push(ServeViolation {
-            index: self.index,
-            plan: self.plan.name(),
-            kind,
-            detail,
-        });
-    }
-
-    /// Checks the final (post-restart) completed response against the
-    /// batch reference.
-    fn check_final(&mut self, response: &PushResponse, expected_hash: &str) {
-        if response.status != SessionStatus::Ok {
-            self.violation(
-                "final-not-ok",
-                format!("status {:?} ({:?})", response.status, response.error),
-            );
-            return;
-        }
-        if response.report_hash != expected_hash {
-            self.violation(
-                "hash-divergence",
-                format!(
-                    "recovered hash {} != batch hash {expected_hash}",
-                    response.report_hash
-                ),
-            );
-        }
-    }
-
-    /// The exactly-once oracle: a re-push of a completed key must come
-    /// back from the ledger, with an identical verdict.
-    fn check_replay(&mut self, first: &PushResponse, again: &PushResponse) {
-        if !again.replayed {
-            self.report.verdicts_lost += 1;
-            self.violation(
-                "verdict-recomputed",
-                "completed key was recomputed instead of replayed from the ledger".to_owned(),
-            );
-        } else {
-            self.report.replayed_from_ledger += 1;
-        }
-        if verdict_fingerprint(first) != verdict_fingerprint(again) {
-            self.report.verdicts_duplicated += 1;
-            self.violation(
-                "verdict-diverged",
-                format!(
-                    "re-push verdict {:?} != original {:?}",
-                    verdict_fingerprint(again),
-                    verdict_fingerprint(first)
-                ),
-            );
-        }
-    }
+/// One observation a plan run records for [`DaemonCrashSweep::check`].
+#[derive(Debug)]
+pub enum Step {
+    /// Host panics (or a daemon that would not start) — aborts.
+    Aborts(u64),
+    /// A completed response that must match the batch hash.
+    Final(Box<PushResponse>),
+    /// A re-push of a completed key: `(first, again)` must be one verdict
+    /// answered from the ledger.
+    Replay(Box<PushResponse>, Box<PushResponse>),
+    /// An interrupted session answered `replayed:true`.
+    Phantom,
+    /// Torn journal regions a restarted daemon's recovery discarded.
+    TornDiscarded(u64),
+    /// Sessions a restarted daemon resumed from a checkpoint.
+    Resumed(u64),
+    /// A broken invariant observed directly (I/O, startup).
+    Violation(&'static str, String),
 }
 
 /// Runs one in-process plan: daemon A (maybe killed mid-stream), a
 /// simulated power cut on the journal, daemon B recovering over the
 /// same store, then the exactly-once and byte-identity oracles.
-fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
+fn run_in_process(crash: CrashPlan, seed: u64, index: u64, steps: &mut Vec<Step>) {
     let key = format!("plan-{index}");
     let bytes = payload(seed, index);
-    let expected = batch_hash(&bytes);
     let mut s = seed ^ index.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let spec = match run.plan {
+    let spec = match crash {
         CrashPlan::ShortWrite => FaultSpec::ShortWrite {
             after_bytes: 1024 + (splitmix64(&mut s) % 4096) as usize,
         },
@@ -610,20 +454,20 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
         _ => FaultSpec::None,
     };
     let fs = FaultFs::new(spec, splitmix64(&mut s));
-    let dir = next_dir("mem");
-    let kill_mid = run.plan != CrashPlan::CleanRun;
+    let dir = temp_path("dcrash-jrnl");
+    let kill_mid = crash != CrashPlan::CleanRun;
 
     // Daemon A.
     let cfg = crash_config(
-        Listen::Unix(next_socket("a")),
+        Listen::Unix(temp_path("dcrash-a.sock")),
         dir.clone(),
         Some(fs.clone()),
     );
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("start-failure", e.to_string());
+            steps.push(Step::Aborts(1));
+            steps.push(Step::Violation("start-failure", e.to_string()));
             return;
         }
     };
@@ -634,111 +478,77 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
         // Push a prefix, hold the connection open, and wait for at
         // least one committed batch boundary to reach the journal
         // before pulling the plug.
-        let cut = bytes.len() * 7 / 10;
-        let conn = connect_stream(&listen).and_then(|mut conn| {
-            conn.write_all(&session_preface(&key))?;
-            conn.write_all(&bytes[..cut])?;
-            conn.flush()?;
-            Ok(conn)
-        });
-        match conn {
+        match push_prefix(&listen, &key, &bytes) {
             Ok(conn) => {
                 let committed = wait_for(
                     || fs.visible_len(&key) > JOURNAL_FILE_MAGIC.len(),
                     Duration::from_secs(3),
                 );
-                if !committed && run.plan == CrashPlan::KillMidStream {
-                    run.violation(
+                if !committed && crash == CrashPlan::KillMidStream {
+                    steps.push(Step::Violation(
                         "no-commit-before-kill",
                         "no journal record appeared within 3 s of a mid-stream push".to_owned(),
-                    );
+                    ));
                 }
                 // Hard kill: zero drain, sessions abandoned mid-flight.
                 let summary = server.shutdown(Duration::ZERO);
-                run.report.aborts += summary.host_panics;
+                steps.push(Step::Aborts(summary.host_panics));
                 drop(conn);
             }
             Err(e) => {
-                run.violation("push-io", e.to_string());
+                steps.push(Step::Violation("push-io", e.to_string()));
                 let summary = server.shutdown(Duration::from_secs(2));
-                run.report.aborts += summary.host_panics;
+                steps.push(Step::Aborts(summary.host_panics));
             }
         }
         // Power cut: lose the un-synced tail at a seeded byte offset.
         fs.crash();
-        if run.plan == CrashPlan::TornTail {
+        if crash == CrashPlan::TornTail {
             fs.tear_tail();
         }
     } else {
         match push_keyed_retry(&listen, &key, &bytes) {
             Ok(response) => {
-                run.check_final(&response, &expected);
+                steps.push(Step::Final(Box::new(response.clone())));
                 // Exactly-once within one daemon lifetime.
                 match push_keyed_retry(&listen, &key, &bytes) {
-                    Ok(again) => run.check_replay(&response, &again),
-                    Err(e) => run.violation("push-io", e.to_string()),
+                    Ok(again) => {
+                        steps.push(Step::Replay(Box::new(response.clone()), Box::new(again)))
+                    }
+                    Err(e) => steps.push(Step::Violation("push-io", e.to_string())),
                 }
                 completed_on_a = Some(response);
             }
-            Err(e) => run.violation("push-io", e.to_string()),
+            Err(e) => steps.push(Step::Violation("push-io", e.to_string())),
         }
         let summary = server.shutdown(Duration::from_secs(2));
-        run.report.aborts += summary.host_panics;
+        steps.push(Step::Aborts(summary.host_panics));
     }
 
     // Daemon B: recover over the same journal store.
     let cfg = crash_config(
-        Listen::Unix(next_socket("b")),
+        Listen::Unix(temp_path("dcrash-b.sock")),
         dir.clone(),
         Some(fs.clone()),
     );
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("restart-failure", e.to_string());
+            steps.push(Step::Aborts(1));
+            steps.push(Step::Violation("restart-failure", e.to_string()));
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
     };
-    let listen = server.local_listen().clone();
-    run.report.torn_discarded_total += stats_counter(&listen, "journal.torn_discarded");
-
-    match push_keyed_retry(&listen, &key, &bytes) {
-        Ok(response) => {
-            if let Some(first) = &completed_on_a {
-                // The verdict was fenced before the (clean) restart:
-                // this push must come back from the durable ledger.
-                run.check_replay(first, &response);
-                if response.replayed {
-                    // Replayed lines skip check_final (already checked
-                    // on daemon A); nothing more to assert.
-                } else {
-                    run.check_final(&response, &expected);
-                }
-            } else {
-                // Interrupted session: recovery + client re-push must
-                // finish byte-identical to the uninterrupted batch run,
-                // and must NOT claim a replay (no verdict ever landed).
-                if response.replayed {
-                    run.report.verdicts_duplicated += 1;
-                    run.violation(
-                        "phantom-verdict",
-                        "interrupted session replayed a verdict that was never emitted".to_owned(),
-                    );
-                }
-                run.check_final(&response, &expected);
-                match push_keyed_retry(&listen, &key, &bytes) {
-                    Ok(again) => run.check_replay(&response, &again),
-                    Err(e) => run.violation("push-io", e.to_string()),
-                }
-            }
-        }
-        Err(e) => run.violation("push-io", e.to_string()),
-    }
-    run.report.resumed_from_checkpoint += stats_counter(&listen, "journal.sessions_resumed");
+    after_restart(
+        server.local_listen(),
+        &key,
+        &bytes,
+        completed_on_a.as_ref(),
+        steps,
+    );
     let summary = server.shutdown(Duration::from_secs(2));
-    run.report.aborts += summary.host_panics;
+    steps.push(Step::Aborts(summary.host_panics));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -769,37 +579,28 @@ fn spawn_daemon(exe: &Path, sock: &Path, dir: &Path) -> io::Result<std::process:
 /// Runs one real-subprocess plan: spawn `pmdbg serve --journal-dir`,
 /// `kill -9` it mid-stream, restart it over the same directory, replay
 /// the client, and run the same oracles as the in-process plans.
-fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
+fn run_subprocess(exe: &Path, seed: u64, index: u64, steps: &mut Vec<Step>) {
     let key = format!("plan-{index}");
     let bytes = payload(seed, index);
-    let expected = batch_hash(&bytes);
-    let dir = next_dir("proc");
+    let dir = temp_path("dcrash-jrnl");
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        run.violation("setup-failure", e.to_string());
+        steps.push(Step::Violation("setup-failure", e.to_string()));
         return;
     }
     let wal = dir.join(format!("{key}.wal"));
 
     // Daemon A: killed -9 mid-stream.
-    let sock = next_socket("pa");
+    let sock = temp_path("dcrash-pa.sock");
     let mut child = match spawn_daemon(exe, &sock, &dir) {
         Ok(child) => child,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("spawn-failure", e.to_string());
+            steps.push(Step::Aborts(1));
+            steps.push(Step::Violation("spawn-failure", e.to_string()));
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
     };
-    let listen = Listen::Unix(sock.clone());
-    let cut = bytes.len() * 7 / 10;
-    let conn = connect_stream(&listen).and_then(|mut conn| {
-        conn.write_all(&session_preface(&key))?;
-        conn.write_all(&bytes[..cut])?;
-        conn.flush()?;
-        Ok(conn)
-    });
-    match conn {
+    match push_prefix(&Listen::Unix(sock.clone()), &key, &bytes) {
         Ok(conn) => {
             // The default 4096-event commit batch won't trip on this
             // small trace, so accept "journal file exists" as the
@@ -817,7 +618,7 @@ fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
             drop(conn);
         }
         Err(e) => {
-            run.violation("push-io", e.to_string());
+            steps.push(Step::Violation("push-io", e.to_string()));
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -825,83 +626,182 @@ fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
     let _ = std::fs::remove_file(&sock);
 
     // Daemon B: recovers the journal directory on startup.
-    let sock = next_socket("pb");
+    let sock = temp_path("dcrash-pb.sock");
     let mut child = match spawn_daemon(exe, &sock, &dir) {
         Ok(child) => child,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("respawn-failure", e.to_string());
+            steps.push(Step::Aborts(1));
+            steps.push(Step::Violation("respawn-failure", e.to_string()));
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
     };
-    let listen = Listen::Unix(sock.clone());
-    run.report.torn_discarded_total += stats_counter(&listen, "journal.torn_discarded");
-    match push_keyed_retry(&listen, &key, &bytes) {
-        Ok(response) => {
-            if response.replayed {
-                run.report.verdicts_duplicated += 1;
-                run.violation(
-                    "phantom-verdict",
-                    "interrupted session replayed a verdict that was never emitted".to_owned(),
-                );
-            }
-            run.check_final(&response, &expected);
-            match push_keyed_retry(&listen, &key, &bytes) {
-                Ok(again) => run.check_replay(&response, &again),
-                Err(e) => run.violation("push-io", e.to_string()),
-            }
-        }
-        Err(e) => run.violation("push-io", e.to_string()),
-    }
-    run.report.resumed_from_checkpoint += stats_counter(&listen, "journal.sessions_resumed");
+    after_restart(&Listen::Unix(sock.clone()), &key, &bytes, None, steps);
     let _ = child.kill();
     let _ = child.wait();
     let _ = std::fs::remove_file(&sock);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `opts.plans` seeded daemon-crash scenarios and checks the
-/// crash-durability contract on every one (see the module docs). Never
-/// panics the sweep: a plan whose I/O fails unexpectedly records a
-/// violation, not a crash.
-pub fn daemon_crash_sweep(opts: &DaemonCrashOptions) -> DaemonCrashReport {
-    let started = Instant::now();
-    let mut report = DaemonCrashReport {
-        plans_planned: opts.plans,
-        plan_mix: CrashPlan::ALL.iter().map(|p| (p.name(), 0)).collect(),
-        ..DaemonCrashReport::default()
-    };
-    for index in 0..opts.plans {
-        if let Some(limit) = opts.wall_clock {
-            if started.elapsed() >= limit {
-                report.truncations.push(Truncation::WallClockExpired {
-                    tested: index,
-                    total: opts.plans,
-                });
-                break;
-            }
-        }
-        let plan = crash_plan_for(opts.seed, index as u64);
-        report.plans_run += 1;
-        if let Some(slot) = report.plan_mix.iter_mut().find(|(n, _)| *n == plan.name()) {
-            slot.1 += 1;
-        }
-        let mut run = PlanRun {
-            report: &mut report,
+/// The daemon-crash sweep.
+#[derive(Debug, Clone, Default)]
+pub struct DaemonCrashSweep {
+    /// A `pmdbg` binary for the real `kill -9` subprocess plans; `None`
+    /// runs those plans in-process instead.
+    pmdbg_exe: Option<PathBuf>,
+}
+
+impl DaemonCrashSweep {
+    /// A sweep that runs `kill -9` plans against `pmdbg_exe` when given.
+    pub fn new(pmdbg_exe: Option<PathBuf>) -> Self {
+        DaemonCrashSweep { pmdbg_exe }
+    }
+}
+
+/// One crash scenario: plan `index` of `seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DaemonPlan {
+    /// The sweep seed (payload and fault parameters derive from it).
+    pub seed: u64,
+    /// Plan index (also the session key, `plan-<index>`).
+    pub index: usize,
+    /// The scenario.
+    pub crash: CrashPlan,
+}
+
+/// What one crash scenario observed.
+#[derive(Debug)]
+pub struct DaemonOutcome {
+    /// Report hash of an uninterrupted batch run over the pushed bytes.
+    expected: String,
+    /// Observations, in the order the plan made them.
+    steps: Vec<Step>,
+}
+
+/// The stable verdict subset compared across replays: anything that
+/// differs here means two different verdicts were emitted for one key.
+fn verdict_fingerprint(r: &PushResponse) -> (String, u64, u64, String) {
+    (
+        r.report_hash.clone(),
+        r.bugs_total,
+        r.events_committed,
+        format!("{:?}", r.status),
+    )
+}
+
+impl Sweep for DaemonCrashSweep {
+    const NAME: &'static str = "daemon-crash";
+    const DEFAULT_SEED: u64 = 0x7C4A_5AD0;
+    const DEFAULT_PLANS: usize = 100;
+    type Plan = DaemonPlan;
+    type Outcome = DaemonOutcome;
+
+    fn plans(&self, seed: u64) -> Box<dyn Iterator<Item = DaemonPlan>> {
+        Box::new((0..).map(move |index: usize| DaemonPlan {
+            seed,
             index,
-            plan,
-        };
-        match (plan, &opts.pmdbg_exe) {
+            crash: crash_plan_for(seed, index as u64),
+        }))
+    }
+
+    fn kind(plan: &DaemonPlan) -> &'static str {
+        plan.crash.name()
+    }
+
+    fn run(&mut self, plan: &DaemonPlan) -> DaemonOutcome {
+        let index = plan.index as u64;
+        let mut steps = Vec::new();
+        match (plan.crash, &self.pmdbg_exe) {
             (CrashPlan::Kill9Subprocess, Some(exe)) => {
-                let exe = exe.clone();
-                run_subprocess(&mut run, &exe, opts.seed, index as u64);
+                run_subprocess(exe, plan.seed, index, &mut steps);
             }
-            _ => run_in_process(&mut run, opts.seed, index as u64),
+            _ => run_in_process(plan.crash, plan.seed, index, &mut steps),
+        }
+        DaemonOutcome {
+            expected: batch_hash(&payload(plan.seed, index)),
+            steps,
         }
     }
-    report.wall_ms = started.elapsed().as_millis();
-    report
+
+    fn check(
+        &self,
+        _plan: &DaemonPlan,
+        outcome: &DaemonOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        for key in [
+            "verdicts_lost",
+            "verdicts_duplicated",
+            "replayed_from_ledger",
+            "resumed_from_checkpoint",
+            "torn_discarded_total",
+        ] {
+            tallies.add(key, 0);
+        }
+        let mut violations = Vec::new();
+        let mut violation =
+            |kind: &'static str, detail: String| violations.push(SweepViolation::new(kind, detail));
+        for step in &outcome.steps {
+            match step {
+                Step::Aborts(n) => tallies.aborts += n,
+                Step::TornDiscarded(n) => tallies.add("torn_discarded_total", *n),
+                Step::Resumed(n) => tallies.add("resumed_from_checkpoint", *n),
+                Step::Violation(kind, detail) => violation(kind, detail.clone()),
+                Step::Phantom => {
+                    tallies.add("verdicts_duplicated", 1);
+                    violation(
+                        "phantom-verdict",
+                        "interrupted session replayed a verdict that was never emitted".to_owned(),
+                    );
+                }
+                // The final (post-restart) completed response against the
+                // batch reference.
+                Step::Final(response) => {
+                    if response.status != SessionStatus::Ok {
+                        violation(
+                            "final-not-ok",
+                            format!("status {:?} ({:?})", response.status, response.error),
+                        );
+                    } else if response.report_hash != outcome.expected {
+                        violation(
+                            "hash-divergence",
+                            format!(
+                                "recovered hash {} != batch hash {}",
+                                response.report_hash, outcome.expected
+                            ),
+                        );
+                    }
+                }
+                // The exactly-once oracle: a re-push of a completed key
+                // must come back from the ledger, with an identical
+                // verdict.
+                Step::Replay(first, again) => {
+                    if !again.replayed {
+                        tallies.add("verdicts_lost", 1);
+                        violation(
+                            "verdict-recomputed",
+                            "completed key was recomputed instead of replayed from the ledger"
+                                .to_owned(),
+                        );
+                    } else {
+                        tallies.add("replayed_from_ledger", 1);
+                    }
+                    if verdict_fingerprint(first) != verdict_fingerprint(again) {
+                        tallies.add("verdicts_duplicated", 1);
+                        violation(
+                            "verdict-diverged",
+                            format!(
+                                "re-push verdict {:?} != original {:?}",
+                                verdict_fingerprint(again),
+                                verdict_fingerprint(first)
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+        violations
+    }
 }
 
 #[cfg(test)]
@@ -964,88 +864,5 @@ mod tests {
         assert!(bytes.len() >= JOURNAL_FILE_MAGIC.len());
         assert!(bytes.len() < JOURNAL_FILE_MAGIC.len() + 40);
         assert!(bytes.starts_with(JOURNAL_FILE_MAGIC));
-    }
-
-    #[test]
-    fn small_sweep_is_clean_across_all_plans() {
-        // Seed chosen so 14 indices cover several distinct plans.
-        let opts = DaemonCrashOptions {
-            plans: 14,
-            seed: 0xD00D_1E5E,
-            wall_clock: None,
-            pmdbg_exe: None,
-        };
-        let report = daemon_crash_sweep(&opts);
-        assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.plans_run, 14);
-        assert!(
-            report.replayed_from_ledger > 0,
-            "no replay was exercised: {}",
-            report.to_json()
-        );
-        assert!(
-            report.resumed_from_checkpoint > 0,
-            "no resume was exercised: {}",
-            report.to_json()
-        );
-        let count = |name: &str| {
-            report
-                .plan_mix
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, c)| *c)
-        };
-        assert!(count("kill_mid_stream") > 0, "{}", report.to_json());
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let opts = DaemonCrashOptions {
-            plans: 10,
-            seed: 1,
-            wall_clock: Some(Duration::ZERO),
-            pmdbg_exe: None,
-        };
-        let report = daemon_crash_sweep(&opts);
-        assert_eq!(report.plans_run, 0);
-        assert!(matches!(
-            report.truncations.first(),
-            Some(Truncation::WallClockExpired {
-                tested: 0,
-                total: 10
-            })
-        ));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let opts = DaemonCrashOptions {
-            plans: 3,
-            seed: 2,
-            wall_clock: None,
-            pmdbg_exe: None,
-        };
-        let json = daemon_crash_sweep(&opts).to_json();
-        assert!(json.starts_with("{\"ok\":"));
-        for key in [
-            "plans_planned",
-            "plans_run",
-            "aborts",
-            "verdicts_lost",
-            "verdicts_duplicated",
-            "replayed_from_ledger",
-            "resumed_from_checkpoint",
-            "torn_discarded_total",
-            "plan_mix",
-            "violations",
-            "truncations",
-            "wall_ms",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
     }
 }

@@ -16,36 +16,36 @@
 //!   stores, swapped epoch markers — and cross-checks every injected fault
 //!   class against PMDebugger and the pmemcheck/PMTest/XFDetector baselines,
 //!   producing a [`SensitivityMatrix`].
-//! * [`corrupt`] tortures the ingestion layer itself: it sweeps
-//!   deterministic bit-flips, truncations, splices and garbage prefixes
-//!   over a trace's serialized v2 binary image and asserts the salvage
-//!   reader never panics, always terminates in budget, and recovers every
-//!   frame preceding the first corrupted byte (with a sampled detector
-//!   differential over the salvaged prefix).
-//! * [`supervise`] tortures the detection engine itself: seeded
-//!   [`pmdebugger::FaultPlan`]s inject panics, delays and alloc pressure
-//!   into the supervised parallel pipeline's workers, and the sweep asserts
-//!   zero aborts, byte-identical verdicts from fault-free shards, and
-//!   precisely named casualties in every degradation report.
-//! * [`thread_crash`] crashes *thread subsets*: seeded plans build
-//!   interleaved lock-free traces (Treiber stack, Michael-Scott queue,
-//!   CAS-published hash), kill a random set of threads at a crash
-//!   boundary, and assert that all four detection engines agree
-//!   byte-for-byte on the surviving partial-thread-progress stream, with
-//!   zero aborts.
-//! * [`daemon_crash`] crashes the *serving daemon*: seeded plans run
-//!   keyed (journaled) sessions, kill the server mid-stream — in-process
-//!   hard stops over a fault-injecting journal filesystem ([`FaultFs`]:
-//!   torn writes, dropped fsyncs, short writes, ENOSPC) or a real
-//!   `kill -9` of a `pmdbg serve` subprocess — restart it over the same
-//!   journal directory, and assert zero verdict loss, zero duplication,
-//!   and byte-identical recovery against an uninterrupted batch run.
-//! * [`mem_pressure`] starves the daemon of *memory*: seeded plans inject
-//!   a [`pmdebugger::MemGovernor`] with whale-sized sessions over tiny
-//!   per-session budgets, herds of small sessions, spill-storm thrash,
-//!   failing-allocator vetoes and under-estimate global budgets, then
-//!   assert zero aborts, zero verdict divergence against unpressured
-//!   batch runs, and exact paused/spilled/rejected accounting.
+//! * Six seeded chaos sweeps share one runner ([`sweep`]): each expands a
+//!   seed into plans, runs them, and checks oracles, and every violation
+//!   names `{sweep, seed, plan_index}` so [`replay_plan`] reruns exactly
+//!   the plan that failed.
+//!   - [`corrupt`] tortures the ingestion layer: deterministic bit-flips,
+//!     truncations, splices and garbage prefixes over a trace's v2 binary
+//!     image; the salvage reader must never panic, must terminate in
+//!     budget, and must recover every frame preceding the first corrupted
+//!     byte (with a sampled detector differential over the prefix).
+//!   - [`supervise`] tortures the detection engine: seeded
+//!     [`pmdebugger::FaultPlan`]s inject panics, delays and alloc pressure
+//!     into the supervised parallel pipeline's workers; zero aborts,
+//!     byte-identical verdicts from fault-free shards, and precisely named
+//!     casualties.
+//!   - [`serve_sweep`] tortures a live `pmdbg serve` with hostile clients:
+//!     truncations, bit flips, disconnects, slow-loris, injected session
+//!     panics and budget overruns; survivors byte-identical to batch,
+//!     exact lost-frame accounting.
+//!   - [`thread_crash`] crashes *thread subsets* of interleaved lock-free
+//!     traces and asserts all four detection engines agree byte-for-byte
+//!     on the surviving stream.
+//!   - [`daemon_crash`] kills the serving daemon mid-stream — in-process
+//!     hard stops over a fault-injecting journal filesystem ([`FaultFs`])
+//!     or a real `kill -9` — restarts it over the same journal, and
+//!     asserts zero verdict loss, zero duplication and byte-identical
+//!     recovery.
+//!   - [`mem_pressure`] starves a governed daemon of memory (whale
+//!     sessions, spill storms, failing allocators, under-estimate global
+//!     budgets) and asserts zero verdict divergence and exact
+//!     spill/rehydrate/reject accounting.
 //! * Everything degrades gracefully: budgets ([`Budget`]) bound crash
 //!   points, images per point, replayed trace length, pool size and wall
 //!   clock, and exceeding any of them yields a partial report carrying
@@ -62,34 +62,29 @@ pub mod report;
 pub mod scheduler;
 pub mod serve_sweep;
 pub mod supervise;
+pub mod sweep;
 pub mod thread_crash;
 pub mod validate;
 
 pub use budget::{Budget, Truncation};
-pub use corrupt::{corruption_torture, ClassStats, CorruptionClass, CorruptionReport};
+pub use corrupt::{CorruptPlan, CorruptSweep, CorruptionClass};
 pub use daemon_crash::{
-    crash_plan_for, daemon_crash_sweep, CrashPlan, DaemonCrashOptions, DaemonCrashReport, FaultFs,
-    FaultSpec,
+    crash_plan_for, CrashPlan, DaemonCrashSweep, DaemonPlan, FaultFs, FaultSpec,
 };
 pub use error::ChaosError;
-pub use mem_pressure::{
-    mem_plan_for, mem_pressure_sweep, MemPlan, MemPressureOptions, MemPressureReport, MemViolation,
-};
+pub use mem_pressure::{mem_plan_for, MemPlan, MemPressurePlan, MemPressureSweep};
 pub use perturb::{
     apply, perturbations, sensitivity_matrix, ClassRow, FaultClass, Perturbation, SensitivityMatrix,
 };
 pub use replay::ReplayContext;
 pub use report::{CampaignReport, UnrecoverableState};
 pub use scheduler::Campaign;
-pub use serve_sweep::{
-    plan_for, serve_sweep, ServeSweepOptions, ServeSweepReport, ServeViolation, SessionPlan,
+pub use serve_sweep::{plan_for, ServePlan, ServeSweep, SessionPlan};
+pub use supervise::{SupervisePlan, SuperviseSweep};
+pub use sweep::{
+    replay_plan, run_sweep, Sweep, SweepOptions, SweepReport, SweepViolation, Tallies,
 };
-pub use supervise::{
-    supervisor_sweep, SupervisorSweepOptions, SupervisorSweepReport, SweepViolation,
-};
-pub use thread_crash::{
-    crash_threads, thread_crash_sweep, ThreadCrashOptions, ThreadCrashReport, ThreadCrashViolation,
-};
+pub use thread_crash::{crash_threads, ThreadCrashPlan, ThreadCrashSweep};
 pub use validate::{
     semantic_fingerprint, EpochCommitValidator, Fingerprint, RecoveryValidator,
     StrictOverwriteValidator, TxLogValidator, ValidatorSet, Violation,

@@ -22,17 +22,17 @@
 //!   run-to-completion plans is matched by a rehydration, and tracked
 //!   bytes drain to exactly zero once the last session is torn down.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pm_serve::{push_bytes, Listen, PushResponse, ServeConfig, Server, SessionStatus};
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode, PmEvent};
+use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
-use pmdebugger::{DebuggerConfig, GovernorConfig, MemGovernor, PersistencyModel, PmDebugger};
+use pmdebugger::{DebuggerConfig, GovernorConfig, GovernorCounters, MemGovernor, PersistencyModel};
 
-use crate::budget::{splitmix64, Truncation};
-use crate::report::json_escape;
+use crate::budget::splitmix64;
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// The memory scenario one plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,15 +67,6 @@ impl MemPlan {
             MemPlan::BudgetReject => "budget_reject",
         }
     }
-
-    /// Every plan, in the order `plan_mix` reports them.
-    pub const ALL: [MemPlan; 5] = [
-        MemPlan::Whale,
-        MemPlan::ManySmall,
-        MemPlan::SpillStorm,
-        MemPlan::RejectStorm,
-        MemPlan::BudgetReject,
-    ];
 }
 
 /// The plan for sweep index `i` under `seed` — a pure function, so a
@@ -88,142 +79,6 @@ pub fn mem_plan_for(seed: u64, index: u64) -> MemPlan {
         45..=69 => MemPlan::SpillStorm,
         70..=84 => MemPlan::RejectStorm,
         _ => MemPlan::BudgetReject,
-    }
-}
-
-/// Tuning for one [`mem_pressure_sweep`].
-#[derive(Debug, Clone)]
-pub struct MemPressureOptions {
-    /// Scenario plans to run.
-    pub plans: usize,
-    /// Base seed; plan `i` derives its scenario and payloads from it.
-    pub seed: u64,
-    /// Wall-clock ceiling for the whole sweep (`None` = unbounded).
-    pub wall_clock: Option<Duration>,
-}
-
-impl Default for MemPressureOptions {
-    fn default() -> Self {
-        MemPressureOptions {
-            plans: 100,
-            seed: 0x5EED_0011,
-            wall_clock: None,
-        }
-    }
-}
-
-/// One broken memory-governance invariant, with replay context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemViolation {
-    /// Sweep index of the plan.
-    pub index: usize,
-    /// Its plan.
-    pub plan: &'static str,
-    /// Which invariant broke.
-    pub kind: &'static str,
-    /// Human-readable specifics.
-    pub detail: String,
-}
-
-/// Outcome of one memory-pressure chaos sweep.
-#[derive(Debug, Clone, Default)]
-pub struct MemPressureReport {
-    /// Plans the sweep was asked to run.
-    pub plans_planned: usize,
-    /// Plans actually run (less only under truncation).
-    pub plans_run: usize,
-    /// Server-side host panics plus startup failures — the zero-abort
-    /// oracle.
-    pub aborts: u64,
-    /// Ok responses whose `report_hash` diverged from the unpressured
-    /// batch run — the zero-divergence oracle.
-    pub verdict_divergence: u64,
-    /// Sessions pushed across all plans.
-    pub sessions_total: u64,
-    /// Sessions answered `ok`.
-    pub ok_sessions: u64,
-    /// Memory sheds observed by clients (busy + `bytes_wanted`).
-    pub memory_sheds: u64,
-    /// Governor spill count summed across plans.
-    pub spills_total: u64,
-    /// Governor rehydration count summed across plans.
-    pub rehydrations_total: u64,
-    /// Governor admission-rejection count summed across plans.
-    pub rejections_total: u64,
-    /// Governor soft-pressure pause count summed across plans.
-    pub pauses_total: u64,
-    /// Milliseconds spent in soft-pressure pauses, summed across plans.
-    pub pause_ms_total: u64,
-    /// Plans run per scenario kind, in [`MemPlan::ALL`] order.
-    pub plan_mix: Vec<(&'static str, u64)>,
-    /// Every broken invariant.
-    pub violations: Vec<MemViolation>,
-    /// Budget bounds that were hit.
-    pub truncations: Vec<Truncation>,
-    /// Sweep wall time in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl MemPressureReport {
-    /// The sweep's verdict: no aborts, no divergence, no broken
-    /// accounting.
-    pub fn ok(&self) -> bool {
-        self.aborts == 0 && self.verdict_divergence == 0 && self.violations.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled like the
-    /// other chaos reports; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"plans_planned\":{},", self.plans_planned));
-        out.push_str(&format!("\"plans_run\":{},", self.plans_run));
-        out.push_str(&format!("\"aborts\":{},", self.aborts));
-        out.push_str(&format!(
-            "\"verdict_divergence\":{},",
-            self.verdict_divergence
-        ));
-        out.push_str(&format!("\"sessions_total\":{},", self.sessions_total));
-        out.push_str(&format!("\"ok_sessions\":{},", self.ok_sessions));
-        out.push_str(&format!("\"memory_sheds\":{},", self.memory_sheds));
-        out.push_str(&format!("\"spills_total\":{},", self.spills_total));
-        out.push_str(&format!(
-            "\"rehydrations_total\":{},",
-            self.rehydrations_total
-        ));
-        out.push_str(&format!("\"rejections_total\":{},", self.rejections_total));
-        out.push_str(&format!("\"pauses_total\":{},", self.pauses_total));
-        out.push_str(&format!("\"pause_ms_total\":{},", self.pause_ms_total));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"plan_mix\":{");
-        for (i, (name, count)) in self.plan_mix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{count}"));
-        }
-        out.push_str("},\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"plan\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.index,
-                v.plan,
-                json_escape(v.kind),
-                json_escape(&v.detail),
-            ));
-        }
-        out.push_str("],\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -286,12 +141,10 @@ fn shape_for(plan: MemPlan, s: &mut u64) -> PlanShape {
 /// Hash of an unpressured batch detection over the exact pushed bytes.
 fn batch_hash(bytes: &[u8], limits: &IngestLimits) -> Option<String> {
     let (trace, _) = ingest_bytes(bytes, IngestMode::Salvage, limits).ok()?;
-    let events: Vec<PmEvent> = trace.events().to_vec();
-    let mut det = PmDebugger::new(DebuggerConfig::for_model(PersistencyModel::Strict));
-    Some(format!(
-        "{:016x}",
-        report_hash(&det.detect_stream(events.iter()))
-    ))
+    Some(hash_hex(&batch_reports(
+        &DebuggerConfig::for_model(PersistencyModel::Strict),
+        trace.events(),
+    )))
 }
 
 /// Pushes `bytes`, absorbing memory sheds by honoring the advertised
@@ -313,77 +166,243 @@ fn push_absorbing_sheds(listen: &Listen, bytes: &[u8]) -> std::io::Result<(PushR
     Ok((push_bytes(listen, bytes)?, sheds))
 }
 
-/// Runs `opts.plans` seeded memory-pressure scenarios, each against a
-/// fresh governed in-process server on a temp unix socket, checking the
-/// zero-abort, zero-divergence and exact-accounting oracles (see the
-/// module docs). Never panics the sweep: unexpected client I/O records
-/// a violation, not a crash.
-pub fn mem_pressure_sweep(opts: &MemPressureOptions) -> MemPressureReport {
-    static NEXT_SOCKET: AtomicU32 = AtomicU32::new(0);
-    let started = Instant::now();
-    let mut report = MemPressureReport {
-        plans_planned: opts.plans,
-        plan_mix: MemPlan::ALL.iter().map(|p| (p.name(), 0)).collect(),
-        ..MemPressureReport::default()
-    };
+/// The memory-pressure sweep: a fresh governed server per plan.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemPressureSweep;
 
-    for index in 0..opts.plans {
-        if let Some(limit) = opts.wall_clock {
-            if started.elapsed() >= limit {
-                report.truncations.push(Truncation::WallClockExpired {
-                    tested: index,
-                    total: opts.plans,
-                });
-                break;
-            }
-        }
-        let plan = mem_plan_for(opts.seed, index as u64);
-        report.plans_run += 1;
-        if let Some(slot) = report.plan_mix.iter_mut().find(|(n, _)| *n == plan.name()) {
-            slot.1 += 1;
-        }
-        run_plan(&mut report, opts.seed, index, plan, &NEXT_SOCKET);
-    }
-
-    report.wall_ms = started.elapsed().as_millis();
-    report
+/// One memory scenario: plan `index` of `seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemPressurePlan {
+    /// The sweep seed (shape and payloads derive from it).
+    pub seed: u64,
+    /// Plan index.
+    pub index: usize,
+    /// The scenario.
+    pub kind: MemPlan,
 }
 
-fn run_plan(
-    report: &mut MemPressureReport,
-    seed: u64,
-    index: usize,
-    plan: MemPlan,
-    next_socket: &AtomicU32,
-) {
-    let violation = |kind: &'static str, detail: String| MemViolation {
-        index,
-        plan: plan.name(),
-        kind,
-        detail,
-    };
-    let mut s = seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let shape = shape_for(plan, &mut s);
+/// What one governed server did under a plan.
+#[derive(Debug, Default)]
+pub struct MemOutcome {
+    /// The plan's shape parameters checked by the oracles.
+    session_budget: Option<u64>,
+    sessions_planned: u64,
+    /// A setup failure (no spill dir, no socket) — an abort.
+    setup_failure: Option<(&'static str, String)>,
+    /// Per session: the terminal answer and the memory sheds absorbed
+    /// before it, plus the unpressured batch hash of the pushed bytes.
+    sessions: Vec<Result<(PushResponse, u64, String), String>>,
+    host_panics: u64,
+    counters: GovernorCounters,
+    tracked_bytes: u64,
+    tracked_sessions: usize,
+    manifest_has_mem_rows: bool,
+}
 
-    let spill_dir = std::env::temp_dir().join(format!(
-        "pmdbg-memsweep-{}-{}",
-        std::process::id(),
-        next_socket.fetch_add(1, Ordering::Relaxed)
-    ));
-    if let Err(e) = std::fs::create_dir_all(&spill_dir) {
-        report.aborts += 1;
-        report
-            .violations
-            .push(violation("spill-dir-failure", e.to_string()));
-        return;
+impl Sweep for MemPressureSweep {
+    const NAME: &'static str = "mem-pressure";
+    const DEFAULT_SEED: u64 = 0x7C4A_5AD0;
+    const DEFAULT_PLANS: usize = 100;
+    type Plan = MemPressurePlan;
+    type Outcome = MemOutcome;
+
+    fn plans(&self, seed: u64) -> Box<dyn Iterator<Item = MemPressurePlan>> {
+        Box::new((0..).map(move |index: usize| MemPressurePlan {
+            seed,
+            index,
+            kind: mem_plan_for(seed, index as u64),
+        }))
     }
-    let socket = spill_dir.join("serve.sock");
 
+    fn kind(plan: &MemPressurePlan) -> &'static str {
+        plan.kind.name()
+    }
+
+    fn run(&mut self, plan: &MemPressurePlan) -> MemOutcome {
+        run_plan(plan)
+    }
+
+    fn check(
+        &self,
+        plan: &MemPressurePlan,
+        outcome: &MemOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        let mut violations = Vec::new();
+        let mut violation =
+            |kind: &'static str, detail: String| violations.push(SweepViolation::new(kind, detail));
+        tallies.add("verdict_divergence", 0);
+        tallies.add("ok_sessions", 0);
+        if let Some((kind, detail)) = &outcome.setup_failure {
+            tallies.aborts += 1;
+            violation(kind, detail.clone());
+            return violations;
+        }
+        let mut sheds_observed = 0u64;
+        for (n, session) in outcome.sessions.iter().enumerate() {
+            tallies.add("sessions_total", 1);
+            let (response, sheds, expected) = match session {
+                Ok(answer) => answer,
+                Err(e) => {
+                    violation("push-io", e.clone());
+                    continue;
+                }
+            };
+            if plan.kind == MemPlan::BudgetReject {
+                // Nothing can be admitted: one push, one structured shed.
+                if response.status != SessionStatus::Busy {
+                    violation(
+                        "admitted-over-budget",
+                        format!("session {n} answered {:?}", response.status),
+                    );
+                } else if response.bytes_wanted.is_none() {
+                    violation(
+                        "shed-without-bytes-wanted",
+                        "memory shed carried no bytes_wanted".to_owned(),
+                    );
+                } else {
+                    sheds_observed += 1;
+                }
+                continue;
+            }
+            sheds_observed += sheds;
+            match response.status {
+                SessionStatus::Ok => {
+                    tallies.add("ok_sessions", 1);
+                    if &response.report_hash != expected {
+                        tallies.add("verdict_divergence", 1);
+                        violation(
+                            "verdict-divergence",
+                            format!(
+                                "session {n}: pressured hash {} != batch hash {expected}",
+                                response.report_hash
+                            ),
+                        );
+                    }
+                }
+                other => violation(
+                    "non-ok-session",
+                    format!(
+                        "session {n} ended {other:?}: {:?} ({:?})",
+                        response.error, response.error_kind
+                    ),
+                ),
+            }
+        }
+        tallies.add("memory_sheds", sheds_observed);
+
+        tallies.aborts += outcome.host_panics;
+        if outcome.host_panics > 0 {
+            violation(
+                "host-panic",
+                format!("{} session host panics", outcome.host_panics),
+            );
+        }
+
+        // Exact accounting oracles over the injected governor.
+        let counters = &outcome.counters;
+        tallies.add("spills_total", counters.spills);
+        tallies.add("rehydrations_total", counters.rehydrations);
+        tallies.add("rejections_total", counters.rejections);
+        tallies.add("pauses_total", counters.pauses);
+        tallies.add("pause_ms_total", counters.pause_ms);
+        if outcome.tracked_bytes != 0 || outcome.tracked_sessions != 0 {
+            violation(
+                "tracked-bytes-leak",
+                format!(
+                    "{} bytes / {} sessions still tracked after shutdown",
+                    outcome.tracked_bytes, outcome.tracked_sessions
+                ),
+            );
+        }
+        if counters.spills != counters.rehydrations {
+            violation(
+                "spill-rehydrate-mismatch",
+                format!(
+                    "{} spills vs {} rehydrations on run-to-completion sessions",
+                    counters.spills, counters.rehydrations
+                ),
+            );
+        }
+        if counters.rejections != sheds_observed {
+            violation(
+                "rejection-accounting-mismatch",
+                format!(
+                    "governor counted {} rejections, clients observed {} memory sheds",
+                    counters.rejections, sheds_observed
+                ),
+            );
+        }
+        match plan.kind {
+            MemPlan::Whale | MemPlan::SpillStorm => {
+                if counters.spills == 0 {
+                    violation(
+                        "no-spill-under-hard-pressure",
+                        format!(
+                            "session budget {:?} produced zero spills",
+                            outcome.session_budget
+                        ),
+                    );
+                }
+            }
+            MemPlan::ManySmall => {
+                if counters.spills != 0 || counters.rejections != 0 {
+                    violation(
+                        "pressure-without-pressure",
+                        format!(
+                            "generous budget produced {} spills / {} rejections",
+                            counters.spills, counters.rejections
+                        ),
+                    );
+                }
+            }
+            // The alternating allocator rejects each session once; an
+            // over-budget global rejects every session.
+            MemPlan::RejectStorm | MemPlan::BudgetReject => {
+                if counters.rejections != outcome.sessions_planned {
+                    violation(
+                        "reject-count-mismatch",
+                        format!(
+                            "{} plan: {} sessions, governor counted {} rejections",
+                            plan.kind.name(),
+                            outcome.sessions_planned,
+                            counters.rejections
+                        ),
+                    );
+                }
+            }
+        }
+        if !outcome.manifest_has_mem_rows {
+            violation(
+                "manifest-missing-mem-rows",
+                "final manifest carries no mem.* gauges".to_owned(),
+            );
+        }
+        violations
+    }
+}
+
+/// Runs one plan against a fresh governed server on a temp unix socket
+/// and records everything the oracles need.
+fn run_plan(plan: &MemPressurePlan) -> MemOutcome {
+    let mut s = plan.seed ^ (plan.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let shape = shape_for(plan.kind, &mut s);
     let governor = MemGovernor::new(GovernorConfig {
         global_budget: shape.global_budget,
         session_budget: shape.session_budget,
         ..GovernorConfig::default()
     });
+    let mut outcome = MemOutcome {
+        session_budget: shape.session_budget,
+        sessions_planned: shape.session_ops.len() as u64,
+        ..MemOutcome::default()
+    };
+
+    let spill_dir = temp_path("memsweep");
+    if let Err(e) = std::fs::create_dir_all(&spill_dir) {
+        outcome.setup_failure = Some(("spill-dir-failure", e.to_string()));
+        return outcome;
+    }
     if shape.failing_allocator {
         // Alternating veto: every session is rejected exactly once with
         // a structured shed, then admitted on its retry.
@@ -393,7 +412,7 @@ fn run_plan(
         })));
     }
 
-    let mut cfg = ServeConfig::new(Listen::Unix(socket));
+    let mut cfg = ServeConfig::new(Listen::Unix(spill_dir.join("serve.sock")));
     cfg.checkpoint_every = 32;
     cfg.retry_backoff = Duration::from_millis(1);
     cfg.retry_after = Duration::from_millis(2);
@@ -404,216 +423,49 @@ fn run_plan(
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {
-            report.aborts += 1;
-            report
-                .violations
-                .push(violation("bind-failure", e.to_string()));
+            outcome.setup_failure = Some(("bind-failure", e.to_string()));
             let _ = std::fs::remove_dir_all(&spill_dir);
-            return;
+            return outcome;
         }
     };
     let listen = server.local_listen().clone();
 
-    let mut sheds_observed = 0u64;
     for (n, &ops) in shape.session_ops.iter().enumerate() {
-        report.sessions_total += 1;
         let trace_seed = splitmix64(&mut s) ^ n as u64;
         let bytes = to_binary(&record_trace(&BTree::new(trace_seed), ops));
-        if plan == MemPlan::BudgetReject {
-            // Nothing can be admitted: one push, one structured shed.
-            match push_bytes(&listen, &bytes) {
-                Ok(response) => {
-                    if response.status != SessionStatus::Busy {
-                        report.violations.push(violation(
-                            "admitted-over-budget",
-                            format!("session {n} answered {:?}", response.status),
-                        ));
-                    } else if response.bytes_wanted.is_none() {
-                        report.violations.push(violation(
-                            "shed-without-bytes-wanted",
-                            "memory shed carried no bytes_wanted".to_owned(),
-                        ));
+        let answer = if plan.kind == MemPlan::BudgetReject {
+            push_bytes(&listen, &bytes).map(|response| (response, 0))
+        } else {
+            push_absorbing_sheds(&listen, &bytes)
+        };
+        outcome.sessions.push(
+            answer
+                .map(|(response, sheds)| {
+                    let expected = if response.status == SessionStatus::Ok {
+                        batch_hash(&bytes, &limits).unwrap_or_default()
                     } else {
-                        sheds_observed += 1;
-                        report.memory_sheds += 1;
-                    }
-                }
-                Err(e) => report.violations.push(violation("push-io", e.to_string())),
-            }
-            continue;
-        }
-        match push_absorbing_sheds(&listen, &bytes) {
-            Ok((response, sheds)) => {
-                sheds_observed += sheds;
-                report.memory_sheds += sheds;
-                match response.status {
-                    SessionStatus::Ok => {
-                        report.ok_sessions += 1;
-                        let expected = batch_hash(&bytes, &limits).unwrap_or_default();
-                        if response.report_hash != expected {
-                            report.verdict_divergence += 1;
-                            report.violations.push(violation(
-                                "verdict-divergence",
-                                format!(
-                                    "session {n}: pressured hash {} != batch hash {expected}",
-                                    response.report_hash
-                                ),
-                            ));
-                        }
-                    }
-                    other => {
-                        report.violations.push(violation(
-                            "non-ok-session",
-                            format!(
-                                "session {n} ended {other:?}: {:?} ({:?})",
-                                response.error, response.error_kind
-                            ),
-                        ));
-                    }
-                }
-            }
-            Err(e) => {
-                report.violations.push(violation("push-io", e.to_string()));
-            }
-        }
+                        String::new()
+                    };
+                    (response, sheds, expected)
+                })
+                .map_err(|e| e.to_string()),
+        );
     }
 
     let summary = server.shutdown(Duration::from_secs(10));
-    report.aborts += summary.host_panics;
-    if summary.host_panics > 0 {
-        report.violations.push(violation(
-            "host-panic",
-            format!("{} session host panics", summary.host_panics),
-        ));
-    }
-
-    // Exact accounting oracles over the injected governor.
-    let counters = governor.counters();
-    report.spills_total += counters.spills;
-    report.rehydrations_total += counters.rehydrations;
-    report.rejections_total += counters.rejections;
-    report.pauses_total += counters.pauses;
-    report.pause_ms_total += counters.pause_ms;
-    if governor.tracked_bytes() != 0 || governor.session_count() != 0 {
-        report.violations.push(violation(
-            "tracked-bytes-leak",
-            format!(
-                "{} bytes / {} sessions still tracked after shutdown",
-                governor.tracked_bytes(),
-                governor.session_count()
-            ),
-        ));
-    }
-    if counters.spills != counters.rehydrations {
-        report.violations.push(violation(
-            "spill-rehydrate-mismatch",
-            format!(
-                "{} spills vs {} rehydrations on run-to-completion sessions",
-                counters.spills, counters.rehydrations
-            ),
-        ));
-    }
-    if counters.rejections != sheds_observed {
-        report.violations.push(violation(
-            "rejection-accounting-mismatch",
-            format!(
-                "governor counted {} rejections, clients observed {} memory sheds",
-                counters.rejections, sheds_observed
-            ),
-        ));
-    }
-    match plan {
-        MemPlan::Whale | MemPlan::SpillStorm => {
-            if counters.spills == 0 {
-                report.violations.push(violation(
-                    "no-spill-under-hard-pressure",
-                    format!(
-                        "session budget {:?} produced zero spills",
-                        shape.session_budget
-                    ),
-                ));
-            }
-        }
-        MemPlan::ManySmall => {
-            if counters.spills != 0 || counters.rejections != 0 {
-                report.violations.push(violation(
-                    "pressure-without-pressure",
-                    format!(
-                        "generous budget produced {} spills / {} rejections",
-                        counters.spills, counters.rejections
-                    ),
-                ));
-            }
-        }
-        MemPlan::RejectStorm => {
-            if counters.rejections != shape.session_ops.len() as u64 {
-                report.violations.push(violation(
-                    "reject-count-mismatch",
-                    format!(
-                        "alternating allocator should reject each of {} sessions once, counted {}",
-                        shape.session_ops.len(),
-                        counters.rejections
-                    ),
-                ));
-            }
-        }
-        MemPlan::BudgetReject => {
-            if counters.rejections != shape.session_ops.len() as u64 {
-                report.violations.push(violation(
-                    "reject-count-mismatch",
-                    format!(
-                        "{} sessions over budget, governor counted {} rejections",
-                        shape.session_ops.len(),
-                        counters.rejections
-                    ),
-                ));
-            }
-        }
-    }
-    if !summary.manifest_json.contains("\"mem.peak_bytes\"") {
-        report.violations.push(violation(
-            "manifest-missing-mem-rows",
-            "final manifest carries no mem.* gauges".to_owned(),
-        ));
-    }
+    outcome.host_panics = summary.host_panics;
+    outcome.counters = governor.counters();
+    outcome.tracked_bytes = governor.tracked_bytes();
+    outcome.tracked_sessions = governor.session_count();
+    outcome.manifest_has_mem_rows = summary.manifest_json.contains("\"mem.peak_bytes\"");
     let _ = std::fs::remove_dir_all(&spill_dir);
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_sweep_is_clean_across_all_plans() {
-        let opts = MemPressureOptions {
-            plans: 14,
-            seed: 0xC0FF_EE00,
-            wall_clock: None,
-        };
-        let report = mem_pressure_sweep(&opts);
-        assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.plans_run, 14);
-        assert_eq!(report.aborts, 0);
-        assert_eq!(report.verdict_divergence, 0);
-        let count = |name: &str| {
-            report
-                .plan_mix
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, c)| *c)
-        };
-        assert!(
-            count("whale") + count("spill_storm") > 0,
-            "{}",
-            report.to_json()
-        );
-        assert!(
-            report.spills_total > 0,
-            "whales must spill: {}",
-            report.to_json()
-        );
-        assert_eq!(report.spills_total, report.rehydrations_total);
-    }
+    use crate::sweep::{run_sweep, SweepOptions};
 
     #[test]
     fn reject_plans_shed_with_exact_accounting() {
@@ -629,66 +481,15 @@ mod tests {
                 )
             })
             .expect("seeded mix must include a rejecting plan") as usize;
-        let opts = MemPressureOptions {
-            plans: first_reject + 1,
-            seed,
-            wall_clock: None,
-        };
-        let report = mem_pressure_sweep(&opts);
+        let report = run_sweep(
+            &mut MemPressureSweep,
+            &SweepOptions::new(first_reject + 1, seed),
+        );
         assert!(report.ok(), "{}", report.to_json());
-        assert!(report.memory_sheds > 0, "{}", report.to_json());
-        assert_eq!(report.memory_sheds, report.rejections_total);
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let opts = MemPressureOptions {
-            plans: 50,
-            seed: 1,
-            wall_clock: Some(Duration::ZERO),
-        };
-        let report = mem_pressure_sweep(&opts);
-        assert_eq!(report.plans_run, 0);
-        assert!(matches!(
-            report.truncations.first(),
-            Some(Truncation::WallClockExpired {
-                tested: 0,
-                total: 50
-            })
-        ));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let opts = MemPressureOptions {
-            plans: 4,
-            seed: 2,
-            wall_clock: None,
-        };
-        let json = mem_pressure_sweep(&opts).to_json();
-        assert!(json.starts_with("{\"ok\":"));
-        for key in [
-            "plans_planned",
-            "plans_run",
-            "aborts",
-            "verdict_divergence",
-            "sessions_total",
-            "ok_sessions",
-            "memory_sheds",
-            "spills_total",
-            "rehydrations_total",
-            "rejections_total",
-            "pauses_total",
-            "pause_ms_total",
-            "plan_mix",
-            "violations",
-            "truncations",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
+        assert!(report.tally("memory_sheds") > 0, "{}", report.to_json());
+        assert_eq!(
+            report.tally("memory_sheds"),
+            report.tally("rejections_total")
+        );
     }
 }

@@ -11,11 +11,11 @@
 use std::collections::BTreeMap;
 
 use pm_baselines::{PmemcheckLike, PmtestLike, XfdetectorLike};
+use pm_obs::json::escape;
 use pm_trace::{Detector, PmEvent, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
 use crate::budget::{Budget, Truncation};
-use crate::report::json_escape;
 use crate::validate::semantic_fingerprint;
 
 /// The injected fault classes.
@@ -255,8 +255,8 @@ impl SensitivityMatrix {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\"{}\":{{\"injected\":{},\"benign\":{},\"detected\":{{",
-                json_escape(class),
+                "{}:{{\"injected\":{},\"benign\":{},\"detected\":{{",
+                escape(class),
                 row.injected,
                 row.benign
             ));
@@ -264,14 +264,14 @@ impl SensitivityMatrix {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":{}", json_escape(detector), count));
+                out.push_str(&format!("{}:{}", escape(detector), count));
             }
             out.push_str("},\"missed\":{");
             for (j, (detector, count)) in row.missed.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":{}", json_escape(detector), count));
+                out.push_str(&format!("{}:{}", escape(detector), count));
             }
             out.push_str("}}");
         }
@@ -280,7 +280,7 @@ impl SensitivityMatrix {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(&truncation.to_string())));
+            out.push_str(&escape(&truncation.to_string()));
         }
         out.push_str("]}");
         out

@@ -6,6 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use pm_obs::json::escape;
+
 use crate::budget::Truncation;
 
 /// One crash image that violates a recovery contract.
@@ -114,14 +116,14 @@ impl CampaignReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", json_escape(kind), count));
+            out.push_str(&format!("{}:{}", escape(kind), count));
         }
         out.push_str("},\"truncations\":[");
         for (i, truncation) in self.truncations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(&truncation.to_string())));
+            out.push_str(&escape(&truncation.to_string()));
         }
         out.push_str("]}");
         out
@@ -129,24 +131,7 @@ impl CampaignReport {
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{}\":\"{}\"", key, json_escape(value)));
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    out.push_str(&format!("\"{key}\":{}", escape(value)));
 }
 
 #[cfg(test)]
@@ -198,7 +183,7 @@ mod tests {
 
     #[test]
     fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -19,25 +19,27 @@
 //!   results hash-match a batch re-feed of the first `events_committed`
 //!   salvaged events.
 //!
-//! Sessions run sequentially so the server's 1-based session ids map
-//! deterministically onto plan indices — which is what lets the fault
-//! hook target exactly the sessions the plan says to fault.
+//! All plans share one server, and sessions run sequentially, so the
+//! server's 1-based session ids map deterministically onto plan indices:
+//! session `n` is plan `first + n - 1`, where `first` is the index of the
+//! plan that started the server. That is what lets the fault hook target
+//! exactly the sessions the plan says to fault — in a full run (`first`
+//! is 0) and in a single-plan replay (`first` is the replayed index).
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pm_serve::{
-    client::connect_stream, fetch_stats, push_bytes, FaultPoint, Listen, PushResponse, ServeConfig,
-    SessionStatus,
+    client::connect_stream, fetch_stats, push_bytes, push_bytes_keyed, FaultPoint, Listen,
+    PushResponse, ServeConfig, Server, SessionStatus,
 };
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode, PmEvent};
+use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode, PmEvent};
 use pm_workloads::{record_trace, BTree};
-use pmdebugger::{DebuggerConfig, DetectSession, PersistencyModel, PmDebugger};
+use pmdebugger::{DebuggerConfig, DetectSession, PersistencyModel};
 
-use crate::budget::{splitmix64, Truncation};
-use crate::report::json_escape;
+use crate::budget::splitmix64;
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// What one hostile client does to the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,25 +88,10 @@ impl SessionPlan {
             SessionPlan::Stats => "stats",
         }
     }
-
-    /// Every plan, in the order `plan_mix` reports them.
-    pub const ALL: [SessionPlan; 11] = [
-        SessionPlan::Clean,
-        SessionPlan::TruncatedPush,
-        SessionPlan::AbruptDisconnect,
-        SessionPlan::CorruptBitFlip,
-        SessionPlan::CorruptTruncate,
-        SessionPlan::SlowLoris,
-        SessionPlan::GarbageTiny,
-        SessionPlan::PanicTransient,
-        SessionPlan::PanicPermanent,
-        SessionPlan::BudgetExceeded,
-        SessionPlan::Stats,
-    ];
 }
 
 /// The plan for sweep index `i` under `seed` — a pure function, shared
-/// by the driver and the server-side fault hook (session id `i + 1`).
+/// by the driver and the server-side fault hook.
 pub fn plan_for(seed: u64, index: u64) -> SessionPlan {
     let mut s = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     match splitmix64(&mut s) % 100 {
@@ -122,156 +109,31 @@ pub fn plan_for(seed: u64, index: u64) -> SessionPlan {
     }
 }
 
-/// Tuning for one [`serve_sweep`].
-#[derive(Debug, Clone)]
-pub struct ServeSweepOptions {
-    /// Hostile sessions to run.
-    pub sessions: usize,
-    /// Base seed; session `i` derives its plan and payload from it.
-    pub seed: u64,
-    /// Wall-clock ceiling for the whole sweep (`None` = unbounded).
-    pub wall_clock: Option<Duration>,
-}
-
-impl Default for ServeSweepOptions {
-    fn default() -> Self {
-        ServeSweepOptions {
-            sessions: 200,
-            seed: 0x5E55_1085,
-            wall_clock: None,
-        }
-    }
-}
-
-/// One broken serve-contract invariant, with replay context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeViolation {
-    /// Sweep index of the session.
-    pub index: usize,
-    /// Its plan.
-    pub plan: &'static str,
-    /// Which invariant broke.
-    pub kind: &'static str,
-    /// Human-readable specifics.
-    pub detail: String,
-}
-
-/// Outcome of one serve chaos sweep.
-#[derive(Debug, Clone, Default)]
-pub struct ServeSweepReport {
-    /// Sessions the sweep was asked to run.
-    pub sessions_planned: usize,
-    /// Sessions actually run (less only under truncation).
-    pub sessions_run: usize,
-    /// Server-side host panics plus sweep-side protocol failures — the
-    /// zero-abort oracle.
-    pub aborts: u64,
-    /// Responses with status `ok` (all hash-checked against batch).
-    pub ok_sessions: u64,
-    /// Responses with status `quarantined` (all loss- and hash-checked).
-    pub quarantined_sessions: u64,
-    /// Responses with status `error` (always a violation in degrade
-    /// mode).
-    pub errored_sessions: u64,
-    /// Busy answers absorbed (retried once after the advertised
-    /// back-off).
-    pub shed: u64,
-    /// Byte-identity hash checks performed.
-    pub hash_checks: u64,
-    /// Frames lost across all quarantined sessions (exactness asserted
-    /// per session).
-    pub frames_lost_total: u64,
-    /// Retries the server reported across all sessions.
-    pub retries_total: u64,
-    /// Sessions run per plan kind, in [`SessionPlan::ALL`] order.
-    pub plan_mix: Vec<(&'static str, u64)>,
-    /// Every broken invariant.
-    pub violations: Vec<ServeViolation>,
-    /// Budget bounds that were hit.
-    pub truncations: Vec<Truncation>,
-    /// Sweep wall time in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl ServeSweepReport {
-    /// The sweep's verdict: no aborts and no broken invariants.
-    pub fn ok(&self) -> bool {
-        self.aborts == 0 && self.violations.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled like the
-    /// other chaos reports; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"sessions_planned\":{},", self.sessions_planned));
-        out.push_str(&format!("\"sessions_run\":{},", self.sessions_run));
-        out.push_str(&format!("\"aborts\":{},", self.aborts));
-        out.push_str(&format!("\"ok_sessions\":{},", self.ok_sessions));
-        out.push_str(&format!(
-            "\"quarantined_sessions\":{},",
-            self.quarantined_sessions
-        ));
-        out.push_str(&format!("\"errored_sessions\":{},", self.errored_sessions));
-        out.push_str(&format!("\"shed\":{},", self.shed));
-        out.push_str(&format!("\"hash_checks\":{},", self.hash_checks));
-        out.push_str(&format!(
-            "\"frames_lost_total\":{},",
-            self.frames_lost_total
-        ));
-        out.push_str(&format!("\"retries_total\":{},", self.retries_total));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"plan_mix\":{");
-        for (i, (name, count)) in self.plan_mix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{count}"));
-        }
-        out.push_str("},\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"plan\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.index,
-                v.plan,
-                json_escape(v.kind),
-                json_escape(&v.detail),
-            ));
-        }
-        out.push_str("],\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// Server policy the sweep runs under: salvage mode, small commit
 /// batches (so permanent faults quarantine mid-stream), a short session
 /// deadline (so slow-loris sessions die in bounded time), and an event
 /// budget the `BudgetExceeded` plan overruns.
-fn sweep_config(listen: Listen, seed: u64) -> ServeConfig {
+fn sweep_config(listen: Listen, seed: u64, first: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(listen);
     cfg.checkpoint_every = 64;
     cfg.max_retries = 2;
     cfg.retry_backoff = Duration::from_millis(1);
     cfg.session_deadline = Some(Duration::from_millis(500));
-    cfg.limits = IngestLimits::default().with_max_events(1200);
+    cfg.limits = sweep_limits();
     cfg.fault_hook = Some(Arc::new(move |p: FaultPoint| {
-        match plan_for(seed, p.session.saturating_sub(1)) {
+        match plan_for(seed, first as u64 + p.session.saturating_sub(1)) {
             SessionPlan::PanicTransient => p.attempt == 0 && !p.at_finish,
             SessionPlan::PanicPermanent => p.events_fed > 0 || p.at_finish,
             _ => false,
         }
     }));
     cfg
+}
+
+/// Ingest limits the server and the batch reference share: an event
+/// budget the `BudgetExceeded` plan overruns.
+fn sweep_limits() -> IngestLimits {
+    IngestLimits::default().with_max_events(1200)
 }
 
 /// The payload a session pushes, derived from the sweep seed.
@@ -320,411 +182,387 @@ fn batch_events(bytes: &[u8], limits: &IngestLimits) -> Option<Vec<PmEvent>> {
         .map(|(trace, _)| trace.events().to_vec())
 }
 
-/// Hash of a full batch detection (feed + end-of-stream rules).
-fn full_hash(events: &[PmEvent]) -> String {
-    let mut det = PmDebugger::new(DebuggerConfig::for_model(PersistencyModel::Strict));
-    format!("{:016x}", report_hash(&det.detect_stream(events.iter())))
-}
-
 /// Hash of the committed reports of a quarantined session: feed the
 /// first `n` salvaged events, never run `finish`.
 fn prefix_hash(events: &[PmEvent], n: usize) -> String {
     let mut session = DetectSession::new(DebuggerConfig::for_model(PersistencyModel::Strict));
-    let reports = session.feed(&events[..n.min(events.len())]);
-    format!("{:016x}", report_hash(&reports))
+    hash_hex(&session.feed(&events[..n.min(events.len())]))
 }
 
-/// Pushes `bytes` and absorbs one busy answer by honoring its
-/// retry-after hint. Returns the terminal response and how many sheds
-/// were absorbed.
-fn push_with_retry(listen: &Listen, bytes: &[u8]) -> std::io::Result<(PushResponse, u64)> {
-    let response = push_bytes(listen, bytes)?;
+/// Pushes `bytes` (under session `key`, when given) and absorbs one busy
+/// answer by honoring its retry-after hint. Returns the terminal response
+/// and how many sheds were absorbed.
+pub(crate) fn push_with_retry(
+    listen: &Listen,
+    key: Option<&str>,
+    bytes: &[u8],
+) -> std::io::Result<(PushResponse, u64)> {
+    let push = || match key {
+        Some(key) => push_bytes_keyed(listen, key, bytes),
+        None => push_bytes(listen, bytes),
+    };
+    let response = push()?;
     if response.status != SessionStatus::Busy {
         return Ok((response, 0));
     }
     std::thread::sleep(Duration::from_millis(
         response.retry_after_ms.unwrap_or(100),
     ));
-    Ok((push_bytes(listen, bytes)?, 1))
+    Ok((push()?, 1))
 }
 
-/// Runs `opts.sessions` seeded hostile sessions against a fresh
-/// in-process server on a temp unix socket, checking the serve contract
-/// on every answer (see the module docs). Never panics the sweep: a
-/// session whose client-side I/O fails unexpectedly records a
-/// violation, not a crash.
-pub fn serve_sweep(opts: &ServeSweepOptions) -> ServeSweepReport {
-    static NEXT_SOCKET: AtomicU32 = AtomicU32::new(0);
-    let started = Instant::now();
-    let path = std::env::temp_dir().join(format!(
-        "pmdbg-sweep-{}-{}.sock",
-        std::process::id(),
-        NEXT_SOCKET.fetch_add(1, Ordering::Relaxed)
-    ));
-    let cfg = sweep_config(Listen::Unix(path), opts.seed);
-    let limits = cfg.limits.clone();
-    let mut report = ServeSweepReport {
-        sessions_planned: opts.sessions,
-        plan_mix: SessionPlan::ALL.iter().map(|p| (p.name(), 0)).collect(),
-        ..ServeSweepReport::default()
-    };
-    let server = match pm_serve::Server::start(cfg) {
-        Ok(server) => server,
-        Err(e) => {
-            report.aborts += 1;
-            report.violations.push(ServeViolation {
-                index: 0,
-                plan: "startup",
-                kind: "bind-failure",
-                detail: e.to_string(),
-            });
-            return report;
-        }
-    };
-    let listen = server.local_listen().clone();
+/// The hostile-client sweep against one shared in-process server.
+#[derive(Default)]
+pub struct ServeSweep {
+    /// The server, started by the first plan run.
+    server: Option<Server>,
+}
 
-    for index in 0..opts.sessions {
-        if let Some(limit) = opts.wall_clock {
-            if started.elapsed() >= limit {
-                report.truncations.push(Truncation::WallClockExpired {
-                    tested: index,
-                    total: opts.sessions,
-                });
-                break;
-            }
+/// One hostile session: plan `index` of `seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServePlan {
+    /// The sweep seed (payloads and the fault hook derive from it).
+    pub seed: u64,
+    /// Plan index.
+    pub index: usize,
+    /// What the client does.
+    pub session: SessionPlan,
+}
+
+/// What one hostile session saw.
+#[derive(Debug)]
+pub enum ServeOutcome {
+    /// The server could not start.
+    StartFailed(String),
+    /// A `STATS` answer.
+    Stats(String),
+    /// An abrupt disconnect: nothing to read back.
+    Dropped,
+    /// A push answer, with the exact bytes the server received.
+    Answered {
+        /// Bytes the client sent.
+        sent: Vec<u8>,
+        /// The terminal answer.
+        response: Box<PushResponse>,
+        /// Busy answers absorbed before it.
+        sheds: u64,
+        /// The error kind a quarantine must carry, if any.
+        expect_error_kind: Option<&'static str>,
+    },
+    /// Client-side I/O failed.
+    Failed(&'static str, String),
+}
+
+impl ServeSweep {
+    /// The shared server's address, starting the server on first use with
+    /// its fault hook anchored at `plan`.
+    fn listen(&mut self, plan: &ServePlan) -> std::io::Result<Listen> {
+        if self.server.is_none() {
+            let cfg = sweep_config(Listen::Unix(temp_path("serve.sock")), plan.seed, plan.index);
+            self.server = Some(Server::start(cfg)?);
         }
-        let plan = plan_for(opts.seed, index as u64);
-        report.sessions_run += 1;
-        if let Some(slot) = report.plan_mix.iter_mut().find(|(n, _)| *n == plan.name()) {
-            slot.1 += 1;
-        }
-        let violation = |kind: &'static str, detail: String| ServeViolation {
+        let server = self.server.as_ref().expect("the server was started above");
+        Ok(server.local_listen().clone())
+    }
+}
+
+impl Sweep for ServeSweep {
+    const NAME: &'static str = "serve";
+    const DEFAULT_SEED: u64 = 0x5E55_1085;
+    const DEFAULT_PLANS: usize = 200;
+    type Plan = ServePlan;
+    type Outcome = ServeOutcome;
+
+    fn plans(&self, seed: u64) -> Box<dyn Iterator<Item = ServePlan>> {
+        Box::new((0..).map(move |index: usize| ServePlan {
+            seed,
             index,
-            plan: plan.name(),
-            kind,
-            detail,
-        };
+            session: plan_for(seed, index as u64),
+        }))
+    }
 
-        match plan {
+    fn kind(plan: &ServePlan) -> &'static str {
+        plan.session.name()
+    }
+
+    fn run(&mut self, plan: &ServePlan) -> ServeOutcome {
+        let listen = match self.listen(plan) {
+            Ok(listen) => listen,
+            Err(e) => return ServeOutcome::StartFailed(e.to_string()),
+        };
+        let bytes = || payload(plan.seed, plan.index as u64, plan.session);
+        match plan.session {
             SessionPlan::Stats => match fetch_stats(&listen) {
-                Ok(text) => {
-                    if pm_obs::RunManifest::from_json(&text).is_err() {
-                        report
-                            .violations
-                            .push(violation("stats-unparsable", text.clone()));
-                    }
-                }
-                Err(e) => report.violations.push(violation("stats-io", e.to_string())),
+                Ok(text) => ServeOutcome::Stats(text),
+                Err(e) => ServeOutcome::Failed("stats-io", e.to_string()),
             },
-            SessionPlan::AbruptDisconnect => {
-                let bytes = payload(opts.seed, index as u64, plan);
-                match connect_stream(&listen) {
-                    Ok(mut conn) => {
-                        // Best-effort write, then drop without half-close
-                        // or reading: the client died. The server must
-                        // absorb it (verified by the final zero-abort
-                        // accounting and by every later session still
-                        // being answered).
-                        let _ = conn.write_all(&bytes);
-                    }
-                    Err(e) => report
-                        .violations
-                        .push(violation("connect-failure", e.to_string())),
+            SessionPlan::AbruptDisconnect => match connect_stream(&listen) {
+                Ok(mut conn) => {
+                    // Best-effort write, then drop without half-close or
+                    // reading: the client died. The server must absorb it
+                    // (verified by the final zero-abort accounting and by
+                    // every later session still being answered).
+                    let _ = conn.write_all(&bytes());
+                    ServeOutcome::Dropped
                 }
-            }
-            SessionPlan::SlowLoris => {
-                let bytes = payload(opts.seed, index as u64, plan);
-                match connect_stream(&listen) {
-                    Ok(mut conn) => {
-                        let _ = conn.set_read_timeout(Some(Duration::from_secs(30)));
-                        // Trickle a few bytes, then stall well past the
-                        // 500 ms session deadline before half-closing.
-                        let mut sent = Vec::new();
-                        for chunk in bytes.chunks(4).take(3) {
-                            if conn.write_all(chunk).is_ok() {
-                                sent.extend_from_slice(chunk);
-                            }
-                            std::thread::sleep(Duration::from_millis(40));
+                Err(e) => ServeOutcome::Failed("connect-failure", e.to_string()),
+            },
+            SessionPlan::SlowLoris => match connect_stream(&listen) {
+                Ok(mut conn) => {
+                    let _ = conn.set_read_timeout(Some(Duration::from_secs(30)));
+                    // Trickle a few bytes, then stall well past the 500 ms
+                    // session deadline before half-closing.
+                    let mut sent = Vec::new();
+                    for chunk in bytes().chunks(4).take(3) {
+                        if conn.write_all(chunk).is_ok() {
+                            sent.extend_from_slice(chunk);
                         }
-                        std::thread::sleep(Duration::from_millis(900));
-                        let _ = conn.shutdown_write();
-                        let mut text = String::new();
-                        let _ = conn.read_to_string(&mut text);
-                        match PushResponse::from_json(&text) {
-                            Ok(response) => check_response(
-                                &mut report,
-                                index,
-                                plan,
-                                &sent,
-                                &limits,
-                                &response,
-                                Some("deadline"),
-                            ),
-                            Err(e) => report.violations.push(violation(
-                                "no-response",
-                                format!("slow-loris got no parsable answer: {e}"),
-                            )),
-                        }
+                        std::thread::sleep(Duration::from_millis(40));
                     }
-                    Err(e) => report
-                        .violations
-                        .push(violation("connect-failure", e.to_string())),
+                    std::thread::sleep(Duration::from_millis(900));
+                    let _ = conn.shutdown_write();
+                    let mut text = String::new();
+                    let _ = conn.read_to_string(&mut text);
+                    match PushResponse::from_json(&text) {
+                        Ok(response) => ServeOutcome::Answered {
+                            sent,
+                            response: Box::new(response),
+                            sheds: 0,
+                            expect_error_kind: Some("deadline"),
+                        },
+                        Err(e) => ServeOutcome::Failed(
+                            "no-response",
+                            format!("slow-loris got no parsable answer: {e}"),
+                        ),
+                    }
                 }
-            }
+                Err(e) => ServeOutcome::Failed("connect-failure", e.to_string()),
+            },
             _ => {
-                let bytes = payload(opts.seed, index as u64, plan);
-                match push_with_retry(&listen, &bytes) {
-                    Ok((response, sheds)) => {
-                        report.shed += sheds;
-                        check_response(&mut report, index, plan, &bytes, &limits, &response, None);
-                    }
-                    Err(e) => report.violations.push(violation("push-io", e.to_string())),
+                let sent = bytes();
+                match push_with_retry(&listen, None, &sent) {
+                    Ok((response, sheds)) => ServeOutcome::Answered {
+                        sent,
+                        response: Box::new(response),
+                        sheds,
+                        expect_error_kind: None,
+                    },
+                    Err(e) => ServeOutcome::Failed("push-io", e.to_string()),
                 }
             }
         }
     }
 
-    let summary = server.shutdown(Duration::from_secs(10));
-    report.aborts += summary.host_panics;
-    if summary.host_panics > 0 {
-        report.violations.push(ServeViolation {
-            index: 0,
-            plan: "server",
-            kind: "host-panic",
-            detail: format!("{} session host panics", summary.host_panics),
-        });
+    fn check(
+        &self,
+        _plan: &ServePlan,
+        outcome: &ServeOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        match outcome {
+            ServeOutcome::StartFailed(e) => {
+                tallies.aborts += 1;
+                vec![SweepViolation::new("bind-failure", e.clone())]
+            }
+            ServeOutcome::Stats(text) => match pm_obs::RunManifest::from_json(text) {
+                Ok(_) => Vec::new(),
+                Err(_) => vec![SweepViolation::new("stats-unparsable", text.clone())],
+            },
+            ServeOutcome::Dropped => Vec::new(),
+            ServeOutcome::Failed(kind, detail) => vec![SweepViolation::new(kind, detail.clone())],
+            ServeOutcome::Answered {
+                sent,
+                response,
+                sheds,
+                expect_error_kind,
+            } => {
+                tallies.add("shed", *sheds);
+                check_response(tallies, sent, response, *expect_error_kind)
+            }
+        }
     }
-    report.wall_ms = started.elapsed().as_millis();
-    report
+
+    fn finish(&mut self, tallies: &mut Tallies) -> Vec<SweepViolation> {
+        let Some(server) = self.server.take() else {
+            return Vec::new();
+        };
+        let summary = server.shutdown(Duration::from_secs(10));
+        tallies.aborts += summary.host_panics;
+        if summary.host_panics == 0 {
+            return Vec::new();
+        }
+        vec![SweepViolation::new(
+            "host-panic",
+            format!("{} session host panics", summary.host_panics),
+        )]
+    }
 }
 
 /// The per-answer contract check shared by every plan that reads a
 /// response.
-#[allow(clippy::too_many_arguments)]
 fn check_response(
-    report: &mut ServeSweepReport,
-    index: usize,
-    plan: SessionPlan,
+    tallies: &mut Tallies,
     sent: &[u8],
-    limits: &IngestLimits,
     response: &PushResponse,
     expect_error_kind: Option<&str>,
-) {
-    let violation = |kind: &'static str, detail: String| ServeViolation {
-        index,
-        plan: plan.name(),
-        kind,
-        detail,
-    };
-    report.retries_total += u64::from(response.retries);
+) -> Vec<SweepViolation> {
+    let limits = sweep_limits();
+    let mut violations = Vec::new();
+    let mut violation =
+        |kind: &'static str, detail: String| violations.push(SweepViolation::new(kind, detail));
+    for key in [
+        "ok_sessions",
+        "quarantined_sessions",
+        "errored_sessions",
+        "hash_checks",
+        "frames_lost_total",
+    ] {
+        tallies.add(key, 0);
+    }
+    tallies.add("retries_total", u64::from(response.retries));
     match response.status {
         SessionStatus::Ok => {
-            report.ok_sessions += 1;
+            tallies.add("ok_sessions", 1);
             if response.frames_lost != 0 {
-                report.violations.push(violation(
+                violation(
                     "loss-on-ok",
                     format!("ok response reports {} lost frames", response.frames_lost),
-                ));
+                );
             }
             if response.events_committed != response.frames_ok {
-                report.violations.push(violation(
+                violation(
                     "commit-gap-on-ok",
                     format!(
                         "committed {} of {} decoded frames",
                         response.events_committed, response.frames_ok
                     ),
-                ));
+                );
             }
-            let events = batch_events(sent, limits).unwrap_or_default();
-            report.hash_checks += 1;
+            let events = batch_events(sent, &limits).unwrap_or_default();
+            tallies.add("hash_checks", 1);
             if response.frames_ok != events.len() as u64 {
-                report.violations.push(violation(
+                violation(
                     "frame-count-divergence",
                     format!(
                         "service decoded {} frames, batch {}",
                         response.frames_ok,
                         events.len()
                     ),
-                ));
+                );
             }
-            let expected = full_hash(&events);
+            let strict = DebuggerConfig::for_model(PersistencyModel::Strict);
+            let expected = hash_hex(&batch_reports(&strict, &events));
             if response.report_hash != expected {
-                report.violations.push(violation(
+                violation(
                     "hash-divergence",
                     format!(
                         "service hash {} != batch hash {expected} over {} events",
                         response.report_hash,
                         events.len()
                     ),
-                ));
+                );
             }
             if response.truncated.is_none() && response.bytes_read != sent.len() as u64 {
-                report.violations.push(violation(
+                violation(
                     "byte-count-divergence",
                     format!(
                         "service read {} bytes, client sent {}",
                         response.bytes_read,
                         sent.len()
                     ),
-                ));
+                );
             }
         }
         SessionStatus::Quarantined => {
-            report.quarantined_sessions += 1;
-            report.frames_lost_total += response.frames_lost;
+            tallies.add("quarantined_sessions", 1);
+            tallies.add("frames_lost_total", response.frames_lost);
             if let Some(expected_kind) = expect_error_kind {
                 if response.error_kind.as_deref() != Some(expected_kind) {
-                    report.violations.push(violation(
+                    violation(
                         "wrong-error-kind",
                         format!("expected `{expected_kind}`, got {:?}", response.error_kind),
-                    ));
+                    );
                 }
             }
             // Exact loss ledger: every decoded frame is either committed
             // or counted lost.
             if response.frames_lost != response.frames_ok.saturating_sub(response.events_committed)
             {
-                report.violations.push(violation(
+                violation(
                     "loss-mismatch",
                     format!(
                         "frames_lost {} != frames_ok {} - events_committed {}",
                         response.frames_lost, response.frames_ok, response.events_committed
                     ),
-                ));
+                );
             }
             // Committed results hash-match a batch re-feed of the
             // committed prefix (the service decodes a prefix of the
             // batch event sequence for these clean-byte plans).
-            let events = batch_events(sent, limits).unwrap_or_default();
+            let events = batch_events(sent, &limits).unwrap_or_default();
             if events.len() as u64 >= response.events_committed {
-                report.hash_checks += 1;
+                tallies.add("hash_checks", 1);
                 let expected = prefix_hash(&events, response.events_committed as usize);
                 if response.report_hash != expected {
-                    report.violations.push(violation(
+                    violation(
                         "quarantine-hash-divergence",
                         format!(
                             "committed-prefix hash {} != batch {expected} over first {} events",
                             response.report_hash, response.events_committed
                         ),
-                    ));
+                    );
                 }
             }
         }
         SessionStatus::Error => {
-            report.errored_sessions += 1;
-            report.violations.push(violation(
+            tallies.add("errored_sessions", 1);
+            violation(
                 "error-status-in-degrade-mode",
                 format!("{:?} ({:?})", response.error, response.error_kind),
-            ));
+            );
         }
-        SessionStatus::Busy => {
-            report.violations.push(violation(
-                "busy-after-retry",
-                "server still shedding after honoring retry_after".to_owned(),
-            ));
-        }
+        SessionStatus::Busy => violation(
+            "busy-after-retry",
+            "server still shedding after honoring retry_after".to_owned(),
+        ),
     }
+    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{assert_json_keys, run_sweep, SweepOptions};
 
     #[test]
     fn small_sweep_is_clean_across_all_plans() {
-        let opts = ServeSweepOptions {
-            sessions: 36,
-            seed: 0xD00D_F00D,
-            wall_clock: None,
-        };
-        let report = serve_sweep(&opts);
+        let report = run_sweep(
+            &mut ServeSweep::default(),
+            &SweepOptions::new(36, 0xD00D_F00D),
+        );
         assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.sessions_run, 36);
-        assert_eq!(report.aborts, 0);
-        assert_eq!(report.errored_sessions, 0);
-        assert!(report.hash_checks > 0, "no hash checks ran");
+        assert_eq!(report.plans_run, 36);
+        assert_eq!(report.tallies.aborts, 0);
+        assert_eq!(report.tally("errored_sessions"), 0);
+        assert!(report.tally("hash_checks") > 0, "no hash checks ran");
         // The seeded mix must actually exercise the hostile plans.
-        let count = |name: &str| {
-            report
-                .plan_mix
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, c)| *c)
-        };
-        assert!(count("clean") > 0);
+        assert!(report.mix("clean") > 0);
         assert!(
-            count("panic_transient") + count("panic_permanent") > 0,
+            report.mix("panic_transient") + report.mix("panic_permanent") > 0,
             "{}",
             report.to_json()
         );
-    }
-
-    #[test]
-    fn permanent_faults_quarantine_with_exact_loss() {
-        // Scan a window of seeds for one that includes permanent faults;
-        // the oracle inside check_response does the heavy lifting.
-        let opts = ServeSweepOptions {
-            sessions: 48,
-            seed: 0xBAD_5EED,
-            wall_clock: None,
-        };
-        let report = serve_sweep(&opts);
-        assert!(report.ok(), "{}", report.to_json());
-        assert!(
-            report.quarantined_sessions > 0,
-            "sweep produced no quarantines: {}",
-            report.to_json()
+        assert_json_keys(
+            &report,
+            &[
+                "ok_sessions",
+                "quarantined_sessions",
+                "errored_sessions",
+                "shed",
+                "hash_checks",
+                "frames_lost_total",
+                "retries_total",
+            ],
         );
-        assert!(report.frames_lost_total > 0, "{}", report.to_json());
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let opts = ServeSweepOptions {
-            sessions: 50,
-            seed: 1,
-            wall_clock: Some(Duration::ZERO),
-        };
-        let report = serve_sweep(&opts);
-        assert_eq!(report.sessions_run, 0);
-        assert!(matches!(
-            report.truncations.first(),
-            Some(Truncation::WallClockExpired {
-                tested: 0,
-                total: 50
-            })
-        ));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let opts = ServeSweepOptions {
-            sessions: 6,
-            seed: 2,
-            wall_clock: None,
-        };
-        let json = serve_sweep(&opts).to_json();
-        assert!(json.starts_with("{\"ok\":"));
-        for key in [
-            "sessions_planned",
-            "sessions_run",
-            "aborts",
-            "ok_sessions",
-            "quarantined_sessions",
-            "errored_sessions",
-            "shed",
-            "hash_checks",
-            "frames_lost_total",
-            "retries_total",
-            "plan_mix",
-            "violations",
-            "truncations",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
     }
 }

@@ -14,142 +14,63 @@
 //! sequential, parallel, supervised and the streaming session (with a
 //! checkpoint/resume mid-stream) — under two oracles:
 //!
-//! * **zero aborts**: every engine completes behind `catch_unwind`; an
-//!   escaped panic is counted, never fatal to the sweep;
+//! * **zero aborts**: every engine completes; the sweep runner's
+//!   `catch_unwind` counts an escaped panic, never fatal to the sweep;
 //! * **survivor divergence**: all four engines must produce byte-identical
 //!   reports ([`pm_trace::report_hash`]) on the survivor stream. Killed
 //!   threads may legitimately leave bugs behind — the invariant is that
 //!   every engine sees *the same* bugs.
+//!
+//! Plans are drawn from one rolling splitmix state, and each plan's crash
+//! boundary is drawn modulo the length of the trace it just generated, so
+//! plan `i` is `plans(seed).nth(i)` (which builds the `i` traces before
+//! it) rather than a closed-form function of `i`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
-
-use pm_trace::{report_hash, BugReport, Detector, PmEvent, Trace};
+use pm_trace::{report_hash, BugReport, PmEvent, Trace};
 use pm_workloads::{
     concurrent_multithread_trace, CasHash, ConcurrentWorkload, MsQueue, TreiberStack,
 };
 use pmdebugger::{
     detect_parallel_from, detect_supervised_from, DebuggerConfig, DetectSession, ParallelConfig,
-    PersistencyModel, PmDebugger, SupervisorConfig,
+    PersistencyModel, SupervisorConfig,
 };
 
-use crate::budget::{splitmix64, Truncation};
-use crate::report::json_escape;
+use crate::budget::splitmix64;
+use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
 
-/// Tuning for one [`thread_crash_sweep`].
-#[derive(Debug, Clone)]
-pub struct ThreadCrashOptions {
-    /// Seeded crash plans to run.
-    pub plans: usize,
-    /// Base seed; plan `i` derives its workload seed, interleaving,
-    /// crash boundary and victim set from it.
-    pub seed: u64,
-    /// Worker-thread widths cycled across plans.
-    pub threads: Vec<usize>,
-    /// Operations per worker thread in each generated trace.
-    pub ops_per_thread: usize,
-    /// Wall-clock ceiling for the whole sweep (`None` = unbounded).
-    pub wall_clock: Option<Duration>,
-}
+/// Worker-thread widths cycled across plans.
+const THREADS: [usize; 3] = [2, 4, 8];
 
-impl Default for ThreadCrashOptions {
-    fn default() -> Self {
-        ThreadCrashOptions {
-            plans: 100,
-            seed: 0x7C4A_5AD0,
-            threads: vec![2, 4, 8],
-            ops_per_thread: 24,
-            wall_clock: None,
-        }
-    }
-}
+/// Operations per worker thread in each generated trace.
+const OPS_PER_THREAD: usize = 24;
 
-/// One broken invariant, with enough context to replay it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadCrashViolation {
-    /// Index of the plan within the sweep.
-    pub plan_index: usize,
-    /// The plan's derived seed.
-    pub plan_seed: u64,
-    /// Workload the plan ran.
+/// The thread-crash sweep over the concurrent lock-free workloads.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ThreadCrashSweep;
+
+/// One crash: a generated interleaved trace with a thread subset killed
+/// at a boundary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadCrashPlan {
+    /// Workload the trace came from.
     pub workload: &'static str,
     /// Worker threads the trace used.
     pub threads: usize,
-    /// Thread ids killed at the crash boundary.
+    /// Events before this index happened on every thread.
+    pub boundary: usize,
+    /// Thread ids killed at the boundary.
     pub killed: Vec<u32>,
-    /// Which invariant broke.
-    pub kind: &'static str,
-    /// Human-readable specifics.
-    pub detail: String,
+    /// The surviving event stream.
+    pub events: Vec<PmEvent>,
 }
 
-/// Outcome of one thread-crash sweep.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadCrashReport {
-    /// Plans the sweep was asked to run.
-    pub plans_planned: usize,
-    /// Plans actually run (less than planned only under truncation).
-    pub plans_run: usize,
-    /// Engine runs whose `catch_unwind` caught a panic — must be 0.
-    pub aborts: u64,
-    /// Threads killed summed over all plans.
-    pub killed_threads: u64,
-    /// Events surviving the crash summed over all plans.
-    pub surviving_events: u64,
-    /// Reports agreed on by all engines, summed over all plans.
-    pub reports_agreed: u64,
-    /// Every broken invariant.
-    pub violations: Vec<ThreadCrashViolation>,
-    /// Budget bounds that were hit.
-    pub truncations: Vec<Truncation>,
-    /// Sweep wall time in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl ThreadCrashReport {
-    /// The sweep's verdict: no aborts and no broken invariants.
-    pub fn ok(&self) -> bool {
-        self.aborts == 0 && self.violations.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled like the
-    /// other chaos reports; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"plans_planned\":{},", self.plans_planned));
-        out.push_str(&format!("\"plans_run\":{},", self.plans_run));
-        out.push_str(&format!("\"aborts\":{},", self.aborts));
-        out.push_str(&format!("\"killed_threads\":{},", self.killed_threads));
-        out.push_str(&format!("\"surviving_events\":{},", self.surviving_events));
-        out.push_str(&format!("\"reports_agreed\":{},", self.reports_agreed));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"plan_index\":{},\"plan_seed\":{},\"workload\":\"{}\",\"threads\":{},\"killed\":{:?},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.plan_index,
-                v.plan_seed,
-                json_escape(v.workload),
-                v.threads,
-                v.killed,
-                json_escape(v.kind),
-                json_escape(&v.detail),
-            ));
-        }
-        out.push_str("],\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
-    }
+/// Reports from the four detection engines over one survivor stream.
+#[derive(Debug)]
+pub struct ThreadCrashOutcome {
+    sequential: Vec<BugReport>,
+    parallel: Vec<BugReport>,
+    supervised: Result<Vec<BugReport>, String>,
+    session: Vec<BugReport>,
 }
 
 /// The workload plan `index` exercises (cycled over the three lock-free
@@ -177,14 +98,6 @@ pub fn crash_threads(trace: &Trace, boundary: usize, killed: &[u32]) -> Vec<PmEv
     out
 }
 
-fn sequential_reports(config: &DebuggerConfig, events: &[PmEvent]) -> Vec<BugReport> {
-    let mut det = PmDebugger::new(config.clone());
-    for (seq, event) in events.iter().enumerate() {
-        det.on_event(seq as u64, event);
-    }
-    det.finish()
-}
-
 /// Streaming-session reports over three chunks with a checkpoint/resume
 /// between the first two — the crash image flows through the exact code a
 /// long-lived detection service runs.
@@ -200,168 +113,117 @@ fn session_reports(config: &DebuggerConfig, events: &[PmEvent]) -> Vec<BugReport
     reports
 }
 
-/// Runs `opts.plans` seeded thread-crash plans, checking the zero-abort
-/// and survivor-divergence oracles per plan (see the module docs). Never
-/// panics: every engine run sits behind `catch_unwind`.
-pub fn thread_crash_sweep(opts: &ThreadCrashOptions) -> ThreadCrashReport {
-    let started = Instant::now();
-    let config = DebuggerConfig::for_model(PersistencyModel::Strict);
-    let thread_cycle: &[usize] = if opts.threads.is_empty() {
-        &[4]
-    } else {
-        &opts.threads
-    };
+impl Sweep for ThreadCrashSweep {
+    const NAME: &'static str = "thread-crash";
+    const DEFAULT_SEED: u64 = 0x7C4A_5AD0;
+    const DEFAULT_PLANS: usize = 100;
+    type Plan = ThreadCrashPlan;
+    type Outcome = ThreadCrashOutcome;
 
-    let mut report = ThreadCrashReport {
-        plans_planned: opts.plans,
-        ..ThreadCrashReport::default()
-    };
-    let mut state = opts.seed ^ 0x7D_C4A5_4D00_D15E;
-
-    for index in 0..opts.plans {
-        if let Some(limit) = opts.wall_clock {
-            if started.elapsed() >= limit {
-                report.truncations.push(Truncation::WallClockExpired {
-                    tested: index,
-                    total: opts.plans,
-                });
-                break;
+    fn plans(&self, seed: u64) -> Box<dyn Iterator<Item = ThreadCrashPlan>> {
+        let mut state = seed ^ 0x7D_C4A5_4D00_D15E;
+        Box::new((0..).map(move |index: usize| {
+            let threads = THREADS[index % THREADS.len()];
+            let plan_seed = splitmix64(&mut state);
+            let workload = workload_for(index, plan_seed);
+            let trace = concurrent_multithread_trace(
+                workload.as_ref(),
+                threads,
+                OPS_PER_THREAD,
+                plan_seed,
+                4,
+            );
+            // Crash boundary anywhere in the stream; kill 1..=threads workers.
+            let boundary = (splitmix64(&mut state) as usize) % (trace.len() + 1);
+            let kill_count = (splitmix64(&mut state) as usize) % threads + 1;
+            let mut killed: Vec<u32> = Vec::with_capacity(kill_count);
+            while killed.len() < kill_count {
+                let victim = (splitmix64(&mut state) as usize % threads) as u32;
+                if !killed.contains(&victim) {
+                    killed.push(victim);
+                }
             }
-        }
-        let threads = thread_cycle[index % thread_cycle.len()];
-        let plan_seed = splitmix64(&mut state);
-        let workload = workload_for(index, plan_seed);
-        let trace = concurrent_multithread_trace(
-            workload.as_ref(),
-            threads,
-            opts.ops_per_thread,
-            plan_seed,
-            4,
-        );
-
-        // Crash boundary anywhere in the stream; kill 1..=threads workers.
-        let boundary = (splitmix64(&mut state) as usize) % (trace.len() + 1);
-        let kill_count = (splitmix64(&mut state) as usize) % threads + 1;
-        let mut killed: Vec<u32> = Vec::with_capacity(kill_count);
-        while killed.len() < kill_count {
-            let victim = (splitmix64(&mut state) as usize % threads) as u32;
-            if !killed.contains(&victim) {
-                killed.push(victim);
+            killed.sort_unstable();
+            let events = crash_threads(&trace, boundary, &killed);
+            ThreadCrashPlan {
+                workload: workload.name(),
+                threads,
+                boundary,
+                killed,
+                events,
             }
-        }
-        killed.sort_unstable();
-        let events = crash_threads(&trace, boundary, &killed);
+        }))
+    }
 
-        report.plans_run += 1;
-        report.killed_threads += killed.len() as u64;
-        report.surviving_events += events.len() as u64;
+    fn kind(plan: &ThreadCrashPlan) -> &'static str {
+        plan.workload
+    }
 
-        let violation = |kind: &'static str, detail: String| ThreadCrashViolation {
-            plan_index: index,
-            plan_seed,
-            workload: workload.name(),
-            threads,
-            killed: killed.clone(),
-            kind,
-            detail,
-        };
-
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let sequential = sequential_reports(&config, &events);
-            let par = ParallelConfig::with_threads(threads.min(pmdebugger::MAX_THREADS));
-            let parallel = detect_parallel_from(&config, &par, &events, 0).reports;
-            let supervised = detect_supervised_from(
+    fn run(&mut self, plan: &ThreadCrashPlan) -> ThreadCrashOutcome {
+        let config = DebuggerConfig::for_model(PersistencyModel::Strict);
+        let events = &plan.events;
+        let par = ParallelConfig::with_threads(plan.threads.min(pmdebugger::MAX_THREADS));
+        ThreadCrashOutcome {
+            sequential: batch_reports(&config, events),
+            parallel: detect_parallel_from(&config, &par, events, 0).reports,
+            supervised: detect_supervised_from(
                 &config,
                 &par,
                 &SupervisorConfig::default(),
                 None,
-                &events,
+                events,
                 0,
             )
-            .map(|outcome| outcome.outcome.reports);
-            let session = session_reports(&config, &events);
-            (sequential, parallel, supervised, session)
-        }));
-        let (sequential, parallel, supervised, session) = match run {
-            Ok(results) => results,
-            Err(_) => {
-                report.aborts += 1;
-                report.violations.push(violation(
-                    "abort",
-                    "a panic escaped a detection engine".to_string(),
-                ));
-                continue;
-            }
-        };
+            .map(|outcome| outcome.outcome.reports)
+            .map_err(|e| format!("{e:?}")),
+            session: session_reports(&config, events),
+        }
+    }
 
-        let baseline = report_hash(&sequential);
-        let engines: [(&'static str, Option<u64>); 3] = [
-            ("parallel", Some(report_hash(&parallel))),
-            (
-                "supervised",
-                supervised.as_ref().ok().map(|r| report_hash(r)),
-            ),
-            ("session", Some(report_hash(&session))),
+    fn check(
+        &self,
+        plan: &ThreadCrashPlan,
+        outcome: &ThreadCrashOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        tallies.add("killed_threads", plan.killed.len() as u64);
+        tallies.add("surviving_events", plan.events.len() as u64);
+        let context = format!(
+            "{} x{} threads, killed {:?} at {}",
+            plan.workload, plan.threads, plan.killed, plan.boundary
+        );
+        let baseline = report_hash(&outcome.sequential);
+        let engines = [
+            ("parallel", Ok(&outcome.parallel)),
+            ("supervised", outcome.supervised.as_ref()),
+            ("session", Ok(&outcome.session)),
         ];
-        for (engine, hash) in engines {
-            match hash {
-                Some(h) if h == baseline => {}
-                Some(h) => report.violations.push(violation(
+        let mut violations = Vec::new();
+        for (engine, reports) in engines {
+            match reports.map(|r| report_hash(r)) {
+                Ok(h) if h == baseline => {}
+                Ok(h) => violations.push(SweepViolation::new(
                     "survivor-divergence",
                     format!(
-                        "{engine} diverged from sequential on the survivor stream \
+                        "{context}: {engine} diverged from sequential on the survivor stream \
                          ({h:#018x} != {baseline:#018x}, {} sequential reports)",
-                        sequential.len()
+                        outcome.sequential.len()
                     ),
                 )),
-                None => report.violations.push(violation(
+                Err(err) => violations.push(SweepViolation::new(
                     "survivor-divergence",
-                    format!(
-                        "{engine} returned an error on the survivor stream: {:?}",
-                        supervised.as_ref().err()
-                    ),
+                    format!("{context}: {engine} returned an error on the survivor stream: {err}"),
                 )),
             }
         }
-        report.reports_agreed += sequential.len() as u64;
+        tallies.add("reports_agreed", outcome.sequential.len() as u64);
+        violations
     }
-
-    report.wall_ms = started.elapsed().as_millis();
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_sweep_is_clean_and_kills_threads() {
-        let opts = ThreadCrashOptions {
-            plans: 12,
-            ops_per_thread: 12,
-            ..ThreadCrashOptions::default()
-        };
-        let report = thread_crash_sweep(&opts);
-        assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.plans_run, 12);
-        assert_eq!(report.aborts, 0);
-        assert!(report.killed_threads >= 12);
-        assert!(report.surviving_events > 0);
-    }
-
-    #[test]
-    fn sweeps_are_deterministic_for_a_seed() {
-        let opts = ThreadCrashOptions {
-            plans: 6,
-            ops_per_thread: 10,
-            ..ThreadCrashOptions::default()
-        };
-        let a = thread_crash_sweep(&opts);
-        let b = thread_crash_sweep(&opts);
-        assert_eq!(a.killed_threads, b.killed_threads);
-        assert_eq!(a.surviving_events, b.surviving_events);
-        assert_eq!(a.reports_agreed, b.reports_agreed);
-    }
 
     #[test]
     fn crash_preserves_prefix_and_filters_suffix() {
@@ -389,56 +251,11 @@ mod tests {
             let trace = concurrent_multithread_trace(&workload, 2, 10, seed, 4);
             for boundary in [trace.len() / 3, trace.len() / 2, 2 * trace.len() / 3] {
                 let events = crash_threads(&trace, boundary, &[0]);
-                if !sequential_reports(&config, &events).is_empty() {
+                if !batch_reports(&config, &events).is_empty() {
                     found = true;
                 }
             }
         }
         assert!(found, "no crash point ever left a residual bug");
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let opts = ThreadCrashOptions {
-            plans: 50,
-            wall_clock: Some(Duration::ZERO),
-            ..ThreadCrashOptions::default()
-        };
-        let report = thread_crash_sweep(&opts);
-        assert_eq!(report.plans_run, 0);
-        assert!(matches!(
-            report.truncations.first(),
-            Some(Truncation::WallClockExpired {
-                tested: 0,
-                total: 50
-            })
-        ));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let opts = ThreadCrashOptions {
-            plans: 3,
-            ops_per_thread: 8,
-            ..ThreadCrashOptions::default()
-        };
-        let json = thread_crash_sweep(&opts).to_json();
-        assert!(json.starts_with("{\"ok\":"));
-        for key in [
-            "plans_planned",
-            "plans_run",
-            "aborts",
-            "killed_threads",
-            "surviving_events",
-            "reports_agreed",
-            "violations",
-            "truncations",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
     }
 }

@@ -1,82 +1,93 @@
-//! Acceptance sweep for the corruption-torture harness (ISSUE acceptance
-//! criterion): at least 500 mutated images across all four corruption
-//! classes, with zero panics, zero hangs (every image bounded by the
-//! per-image deadline), a perfect salvage floor — every frame preceding
-//! the first corrupted byte recovered — and detector reports over the
-//! salvaged clean prefix identical to replaying that prefix directly.
+//! Acceptance sweep for the corruption-torture harness: at least 500
+//! mutated images across all four corruption classes, with zero panics,
+//! zero hangs (every image bounded by the per-image deadline), a perfect
+//! salvage floor — every frame preceding the first corrupted byte
+//! recovered — and detector reports over the salvaged clean prefix
+//! identical to replaying that prefix directly.
 
 use std::time::Duration;
 
-use pm_chaos::{corruption_torture, Budget, CorruptionClass};
+use pm_chaos::{run_sweep, CorruptSweep, CorruptionClass, Sweep, SweepOptions, SweepReport};
+use pm_trace::Trace;
 use pm_workloads::{record_trace, BTree, HashmapAtomic};
+
+fn sweep(trace: Trace, plans: usize, seed: u64, wall_clock: Option<Duration>) -> SweepReport {
+    let opts = SweepOptions {
+        wall_clock,
+        ..SweepOptions::new(plans, seed)
+    };
+    run_sweep(&mut CorruptSweep::new(trace).unwrap(), &opts)
+}
 
 #[test]
 fn five_hundred_images_uphold_every_invariant() {
     let trace = record_trace(&BTree::default(), 96);
-    let report = corruption_torture(&trace, &Budget::default(), 125).unwrap();
+    let report = sweep(trace, 500, CorruptSweep::DEFAULT_SEED, None);
     assert_eq!(
-        report.images_total(),
-        500,
+        report.plans_run, 500,
         "125 images per class across 4 classes"
     );
-    assert_eq!(report.panics_total(), 0, "{}", report.to_json());
     assert!(report.ok(), "{}", report.to_json());
     assert!(
         report.truncations.is_empty(),
         "sweep must finish inside the default budget: {:?}",
         report.truncations
     );
-    for (class, stats) in &report.per_class {
-        assert_eq!(stats.images, 125, "{class} ran every image");
+    let mut differentials = 0;
+    for class in CorruptionClass::ALL {
+        let tally = |key: &str| report.tally(&format!("{class}.{key}"));
+        assert_eq!(tally("images"), 125, "{class} ran every image");
+        assert_eq!(tally("panics"), 0, "{}", report.to_json());
         assert_eq!(
-            stats.floor_violations, 0,
+            tally("floor_violations"),
+            0,
             "{class} lost pre-corruption frames"
         );
         assert_eq!(
-            stats.prefix_mismatches, 0,
+            tally("prefix_mismatches"),
+            0,
             "{class} altered salvaged events"
         );
         assert_eq!(
-            stats.detector_mismatches, 0,
+            tally("detector_mismatches"),
+            0,
             "{class} detector differential"
         );
         assert!(
-            stats.salvaged_frames >= stats.floor_frames,
+            tally("salvaged_frames") >= tally("floor_frames"),
             "{class} salvaged {} < floor {}",
-            stats.salvaged_frames,
-            stats.floor_frames
+            tally("salvaged_frames"),
+            tally("floor_frames")
         );
+        differentials += tally("differentials");
     }
     // The detector differential actually exercised something: at least one
     // class ran sampled differentials over non-empty prefixes.
-    let differentials: u64 = report.per_class.iter().map(|(_, s)| s.differentials).sum();
     assert!(differentials > 0, "{}", report.to_json());
 }
 
 #[test]
 fn torture_is_deterministic_per_seed_and_workload() {
     let trace = record_trace(&HashmapAtomic::default(), 48);
-    let budget = Budget::default().with_seed(0xDEAD_BEEF);
-    let a = corruption_torture(&trace, &budget, 25).unwrap();
-    let b = corruption_torture(&trace, &budget, 25).unwrap();
-    assert_eq!(a.per_class, b.per_class);
-    assert_eq!(a.images_total(), 100);
+    let a = sweep(trace.clone(), 100, 0xDEAD_BEEF, None);
+    let b = sweep(trace, 100, 0xDEAD_BEEF, None);
+    assert_eq!(a.tallies, b.tallies);
+    assert_eq!(a.plans_run, 100);
     assert!(a.ok(), "{}", a.to_json());
 }
 
 #[test]
 fn starved_wall_clock_truncates_instead_of_hanging() {
     let trace = record_trace(&BTree::default(), 64);
-    let budget = Budget::default().with_wall_clock(Duration::from_millis(0));
-    let report = corruption_torture(&trace, &budget, 125).unwrap();
+    let report = sweep(trace, 500, 1, Some(Duration::from_millis(0)));
     assert!(
         !report.truncations.is_empty(),
         "zero wall clock must surface a truncation marker"
     );
     assert!(
-        report.images_total() < 500,
+        report.plans_run < 500,
         "starved sweep stops early, got {}",
-        report.images_total()
+        report.plans_run
     );
     assert!(report.ok(), "partial results stay violation-free");
 }

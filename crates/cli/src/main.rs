@@ -1,7 +1,7 @@
 //! `pmdbg` binary entry point; all logic lives in the library for testing.
 //!
-//! Exit-code contract: 0 clean run, 1 bugs (or torture/supervise
-//! invariant violations) found, 2 bad usage or parse/ingest failure,
+//! Exit-code contract: 0 clean run, 1 bugs (or chaos-sweep invariant
+//! violations) found, 2 bad usage or parse/ingest failure,
 //! 3 internal error (including a strict-mode shard failure), 4 a
 //! supervised run that completed degraded — shards quarantined — without
 //! finding bugs in the survivors (bugs dominate: 1 wins over 4).

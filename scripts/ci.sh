@@ -2,17 +2,15 @@
 # Repo CI gate: staged pipeline with per-stage timing. Run from anywhere.
 #
 #   lint -> fmt -> unit -> integration -> docs -> bench-smoke -> ingest-bench
-#     -> obs-smoke -> ingest-torture -> supervisor-chaos -> serve-chaos
-#     -> concurrent-chaos -> journal-chaos -> mem-chaos
+#     -> obs-smoke -> sweeps -> daemon-smoke -> pmbench
 #
 # Every run writes target/ci_timings.json (override: PM_CI_TIMINGS_JSON), a
 # machine-readable ledger of {stage, seconds, status} rows plus an overall
 # verdict — on early exit the in-flight stage is recorded as "fail" and its
 # name printed, so a red pipeline names its culprit without log spelunking.
-# The six wall-clock-budgeted sweeps (ingest-torture, supervisor-chaos,
-# serve-chaos, concurrent-chaos, journal-chaos, mem-chaos) share one knob:
-# PM_CI_BUDGET_SECS (default 120) — turn it down for a quick local pass,
-# up for a soak run.
+# The chaos sweeps share one wall-clock knob, PM_CI_BUDGET_SECS (default
+# 120 per sweep run) — turn it down for a quick local pass, up for a soak
+# run.
 #
 # lint        clippy over all targets, warnings are errors
 # fmt         rustfmt check
@@ -32,54 +30,42 @@
 #             speedup within tolerance of scripts/ingest_baseline.json
 # obs-smoke   metrics-overhead benchmark in smoke mode, failing if the
 #             metrics-on slowdown exceeds PM_OBS_MAX_OVERHEAD_PCT (5%)
-# ingest-torture
-#             corruption sweep (`pmdbg torture`) over both committed
-#             fixture traces: >=500 mutated images each, gated on exit
-#             code 0 and "ok":true in the JSON report (zero panics,
-#             salvage floor intact, detector differential clean)
-# supervisor-chaos
-#             detector-fault sweep (`pmdbg supervise`): >=200 seeded fault
-#             plans injected into the supervised parallel pipeline under a
-#             wall-clock budget, gated on exit code 0 and "ok":true
-#             (zero process aborts, fault-free shards byte-identical to
-#             sequential, every casualty named exactly)
-# serve-chaos hostile-client sweep (`pmdbg serve-chaos`): >=200 randomized
-#             sessions (truncations, bit flips, disconnects, slow-loris,
-#             injected panics) against a live server under a wall-clock
-#             budget, gated on exit code 0 and "ok":true (zero server
-#             aborts, survivors byte-identical to batch detection, exact
-#             lost-frame accounting), followed by a daemon smoke test:
+# sweeps      one loop runs each seeded chaos sweep as its own `sweep-<name>`
+#             stage (`scripts/ci.sh sweep-serve` runs one): `pmdbg chaos
+#             --sweep <name> --plans <n> --json` at the default seed, gated
+#             on "ok":true, "aborts":0, "plans_run":<n> and the [zero]
+#             counters. A violation names its plan; `pmdbg chaos --sweep
+#             <name> --replay <seed>:<index>` reruns exactly that plan.
+#               name          plans  seed        faults -> violation kinds [zero]
+#               corrupt       500x2  806405      bit flips, cuts, splices, junk
+#                             (both fixtures)    prefixes -> floor-violation
+#                                                prefix-mismatch detector-mismatch
+#                                                [panics]
+#               supervise     200    0x5AFE0001  worker panics/delays/alloc
+#                                                pressure -> casualty-mismatch
+#                                                lost-event-mismatch survivor-
+#                                                divergence
+#               serve         200    0x5E551085  hostile clients -> hash-
+#                                                divergence loss-mismatch ...
+#               thread-crash  100    0x7C4A5AD0  killed thread subsets ->
+#                                                survivor-divergence
+#               daemon-crash  100    0x7C4A5AD0  daemon kills, damaged journals
+#                                                -> verdict-recomputed verdict-
+#                                                diverged phantom-verdict
+#                                                [verdicts_lost verdicts_duplicated]
+#               mem-pressure  100    0x7C4A5AD0  starved budgets, allocator vetoes
+#                                                -> verdict-divergence tracked-
+#                                                bytes-leak ... [verdict_divergence]
+#             (every sweep can also report `abort`; full kinds: `pmdbg help`)
+# daemon-smoke
 #             start `pmdbg serve` as a real process, push the committed
 #             btree fixture, assert the bug summary matches the golden
 #             batch verdict, SIGTERM-drain, and check the exit-code
 #             contract end to end
-# concurrent-chaos
-#             thread-crash sweep (`pmdbg chaos --thread-crash`): 100
-#             seeded plans build interleaved lock-free traces (Treiber
-#             stack, MS queue, CAS-published hash), kill a random thread
-#             subset at a crash boundary, and run all four detection
-#             engines over the survivor stream under a wall-clock budget,
-#             gated on exit code 0 and "ok":true (zero process aborts,
-#             zero survivor-stream divergence between engines)
-# journal-chaos
-#             daemon-crash sweep (`pmdbg chaos --daemon-crash`): >=100
-#             seeded plans run keyed (journaled) sessions, kill the
-#             serving daemon mid-stream (in-process hard stops over a
-#             fault-injecting journal — torn writes, dropped fsyncs,
-#             short writes, ENOSPC — plus real kill -9 of `pmdbg serve`
-#             subprocesses), restart it over the same journal directory
-#             and replay the clients, gated on exit code 0 and
-#             "ok":true with explicitly zero lost and zero duplicated
-#             verdicts (exactly-once emission across crashes)
-# mem-chaos   memory-pressure sweep (`pmdbg chaos --mem-pressure`): 100
-#             seeded plans starve a governed server — whale sessions over
-#             per-session budgets far below their footprint, herds of
-#             small sessions under generous budgets, spill-storm thrash,
-#             failing-allocator vetoes, global budgets below the
-#             admission estimate — gated on exit code 0 and "ok":true
-#             with explicitly zero aborts and zero verdict divergence
-#             against unpressured batch runs, plus exact
-#             paused/spilled/rejected accounting
+# pmbench     build release `pmdbg` and run the benchmark harness's own
+#             tests: `pmbench/` is a separate cargo workspace that
+#             `cargo test --workspace` never compiles, so this is what
+#             catches an API change that breaks the benchmark
 #
 # Select a subset of stages by name: `scripts/ci.sh lint fmt unit`.
 set -euo pipefail
@@ -87,10 +73,10 @@ cd "$(dirname "$0")/.."
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint fmt unit integration docs bench-smoke ingest-bench obs-smoke ingest-torture supervisor-chaos serve-chaos concurrent-chaos journal-chaos mem-chaos)
+  STAGES=(lint fmt unit integration docs bench-smoke ingest-bench obs-smoke sweeps daemon-smoke pmbench)
 fi
 
-# Shared wall-clock budget for the chaos/torture sweeps, in seconds.
+# Shared wall-clock budget for each chaos sweep run, in seconds.
 PM_CI_BUDGET_SECS="${PM_CI_BUDGET_SECS:-120}"
 BUDGET_MS=$((PM_CI_BUDGET_SECS * 1000))
 
@@ -158,86 +144,54 @@ docs_stage() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 }
 
-ingest_torture_stage() {
-  # Corruption sweep over both committed fixtures (one v2 binary, one v1
-  # text). 125 images x 4 classes = 500 mutated images per fixture; the
-  # pmdbg exit-code contract turns any invariant violation into exit 1,
-  # and we additionally require the machine-readable verdict.
-  local fixture report
-  for fixture in tests/fixtures/btree_96.pmt2 tests/fixtures/hashmap_atomic_48.trace; do
-    report=$(cargo run -q --offline -p pm-cli -- \
-      torture --trace "${fixture}" --images 125 --seed 806405 \
-      --budget-ms "${BUDGET_MS}" --json)
-    if ! grep -q '"ok":true' <<<"${report}"; then
-      echo "ingest-torture: ${fixture} reported violations:" >&2
-      echo "${report}" >&2
-      exit 1
-    fi
-    if grep -Eq '"panics":[1-9]' <<<"${report}"; then
-      echo "ingest-torture: ${fixture} reported panics" >&2
-      exit 1
-    fi
-    echo "ingest-torture ${fixture}: ok"
+# The sweep runs CI gates, one row each: sweep name, plan count, counters
+# that must be present and zero ("-" for none), then extra pmdbg args.
+SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure)
+SWEEP_RUNS=(
+  "corrupt 500 panics --trace tests/fixtures/btree_96.pmt2"
+  "corrupt 500 panics --trace tests/fixtures/hashmap_atomic_48.trace"
+  "supervise 200 -"
+  "serve 200 -"
+  "thread-crash 100 -"
+  "daemon-crash 100 verdicts_lost,verdicts_duplicated"
+  "mem-pressure 100 verdict_divergence"
+)
+
+sweep_stage() {
+  local name="$1" row row_name plans zeros extra report gate key ran=0 rc
+  for row in "${SWEEP_RUNS[@]}"; do
+    read -r row_name plans zeros extra <<<"${row}"
+    [ "${row_name}" = "${name}" ] || continue
+    ran=$((ran + 1))
+    [ "${zeros}" = "-" ] && zeros=""
+    rc=0
+    # shellcheck disable=SC2086 # extra is a word list by design
+    report=$(cargo run -q --offline -p pm-cli -- chaos --sweep "${name}" \
+      --plans "${plans}" --budget-ms "${BUDGET_MS}" --json ${extra}) || rc=$?
+    # Every plan ran inside the budget, cleanly, and each zero counter is
+    # reported and never non-zero (corrupt reports `panics` per class).
+    local gates=('"ok":true' '"aborts":0' "\"plans_run\":${plans}[,}]")
+    for key in ${zeros//,/ }; do
+      gates+=("\"${key}\":0")
+      if grep -Eq "\"${key}\":[1-9]" <<<"${report}"; then rc=1; fi
+    done
+    for gate in "${gates[@]}"; do
+      if [ "${rc}" -ne 0 ] || ! grep -q "${gate}" <<<"${report}"; then
+        echo "sweep-${name} ${extra}: failed at ${gate} (exit ${rc}); rerun a" \
+          "violation's plan with --replay <seed>:<plan_index>:" >&2
+        echo "${report}" >&2
+        exit 1
+      fi
+    done
+    echo "sweep-${name} ${extra}: ok"
   done
+  if [ "${ran}" -eq 0 ]; then
+    echo "unknown sweep: ${name} (one of: ${SWEEP_NAMES[*]})" >&2
+    exit 2
+  fi
 }
 
-supervisor_chaos_stage() {
-  # Detector-fault sweep: 200 seeded fault plans (panic / delay /
-  # alloc-pressure faults at varied retry, fallback, deadline and budget
-  # policies, cycling 2/3/4/8 worker threads) against one recorded
-  # workload trace, under the shared PM_CI_BUDGET_SECS wall-clock budget
-  # (default 120 s). The sweep's own
-  # oracles enforce the supervision contract; here we gate on the
-  # machine-readable verdict and explicitly on the zero-abort count.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    supervise --workload hashmap_atomic --ops 64 --plans 200 \
-    --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "supervisor-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "supervisor-chaos: sweep reported process aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":200' <<<"${report}"; then
-    echo "supervisor-chaos: sweep did not complete all 200 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "supervisor-chaos: ok"
-}
-
-serve_chaos_stage() {
-  # Hostile-client sweep against a live in-process server: 200 randomized
-  # sessions mixing clean pushes with truncations, bit flips, abrupt
-  # disconnects, slow-loris pacing, tiny garbage, injected session panics
-  # (transient and permanent) and budget overruns. The sweep's own
-  # oracles enforce the service contract — zero server aborts, surviving
-  # sessions byte-identical to batch detection on the same frames, exact
-  # lost-frame accounting for quarantined sessions; here we gate on the
-  # machine-readable verdict plus the abort and completion counts.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    serve-chaos --sessions 200 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "serve-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "serve-chaos: sweep reported server aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"sessions_run":200' <<<"${report}"; then
-    echo "serve-chaos: sweep did not complete all 200 sessions in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "serve-chaos: sweep ok"
-
+daemon_smoke_stage() {
   # Daemon smoke test: a real `pmdbg serve` process with real signals.
   # Push the committed fixture, check the bug summary against the golden
   # batch verdict (26 multiple-overwrites, the `pmdbg replay` hash), then
@@ -254,20 +208,20 @@ serve_chaos_stage() {
     sleep 0.1
   done
   if [ ! -S "${sock}" ]; then
-    echo "serve-chaos: daemon never bound ${sock}" >&2
+    echo "daemon-smoke: daemon never bound ${sock}" >&2
     kill "${serve_pid}" 2>/dev/null || true
     exit 1
   fi
   response=$(target/debug/pmdbg push --addr "${sock}" \
     --trace tests/fixtures/btree_96.pmt2 --json) || push_rc=$?
   if [ "${push_rc}" -ne 1 ]; then
-    echo "serve-chaos: push should exit 1 (bugs found), got ${push_rc}" >&2
+    echo "daemon-smoke: push should exit 1 (bugs found), got ${push_rc}" >&2
     kill "${serve_pid}" 2>/dev/null || true
     exit 1
   fi
   if ! grep -q '"report_hash":"4fc95a913f0f9819"' <<<"${response}" ||
     ! grep -q '"kinds":{"multiple-overwrites":26}' <<<"${response}"; then
-    echo "serve-chaos: bug summary drifted from the golden batch verdict:" >&2
+    echo "daemon-smoke: bug summary drifted from the golden batch verdict:" >&2
     echo "${response}" >&2
     kill "${serve_pid}" 2>/dev/null || true
     exit 1
@@ -275,119 +229,26 @@ serve_chaos_stage() {
   kill -TERM "${serve_pid}"
   wait "${serve_pid}" || serve_rc=$?
   if [ "${serve_rc}" -ne 1 ]; then
-    echo "serve-chaos: serve should exit 1 (bugs across sessions), got ${serve_rc}" >&2
+    echo "daemon-smoke: serve should exit 1 (bugs across sessions), got ${serve_rc}" >&2
     exit 1
   fi
   if ! grep -q '"tool":"pmdbg-serve"' "${manifest}"; then
-    echo "serve-chaos: final manifest missing or malformed: ${manifest}" >&2
+    echo "daemon-smoke: final manifest missing or malformed: ${manifest}" >&2
     exit 1
   fi
   if [ -S "${sock}" ]; then
-    echo "serve-chaos: socket not unlinked after drain" >&2
+    echo "daemon-smoke: socket not unlinked after drain" >&2
     exit 1
   fi
   rm -f "${manifest}"
-  echo "serve-chaos: daemon smoke ok"
+  echo "daemon-smoke: ok"
 }
 
-concurrent_chaos_stage() {
-  # Thread-crash sweep: 100 seeded plans cycling the three lock-free
-  # workloads at 2/4/8 threads, each crashed at a seeded boundary with a
-  # random subset of threads killed, then replayed through the
-  # sequential, parallel, supervised and streaming engines under the
-  # shared wall-clock budget. The sweep's own oracles enforce zero
-  # aborts and byte-identical survivor verdicts; here we gate on the
-  # machine-readable report plus the abort count explicitly.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --thread-crash --plans 100 --ops 24 \
-    --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "concurrent-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "concurrent-chaos: sweep reported process aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "concurrent-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "concurrent-chaos: ok"
-}
-
-journal_chaos_stage() {
-  # Daemon-crash sweep: 100 seeded plans mixing clean runs (replay
-  # fences across restarts) with mid-stream daemon kills over torn-write
-  # / dropped-fsync / short-write / ENOSPC journal filesystems and real
-  # kill -9 of `pmdbg serve` subprocesses, each followed by recovery
-  # over the same journal directory and a client replay. The sweep's
-  # own oracles enforce the crash-durability contract — zero verdict
-  # loss, zero duplication, byte-identical recovered verdicts; here we
-  # gate on the machine-readable report plus the loss/duplication and
-  # completion counts explicitly.
-  cargo build -q --offline -p pm-cli
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --daemon-crash --plans 100 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "journal-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if ! grep -q '"verdicts_lost":0' <<<"${report}" ||
-    ! grep -q '"verdicts_duplicated":0' <<<"${report}"; then
-    echo "journal-chaos: exactly-once verdict contract broken:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "journal-chaos: sweep reported daemon aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "journal-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "journal-chaos: ok"
-}
-
-mem_chaos_stage() {
-  # Memory-pressure sweep: 100 seeded plans inject a memory governor into
-  # a fresh in-process server per plan and starve it five ways (whale
-  # sessions, small-session herds, spill storms, failing allocators,
-  # under-estimate global budgets). The sweep's own oracles enforce the
-  # governance contract — tracked bytes drain to zero, every spill is
-  # matched by a rehydration, rejections equal client-observed sheds;
-  # here we gate on the machine-readable report plus the abort,
-  # divergence and completion counts explicitly.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --mem-pressure --plans 100 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "mem-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "mem-chaos: sweep reported server aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"verdict_divergence":0' <<<"${report}"; then
-    echo "mem-chaos: pressured verdicts diverged from batch runs:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "mem-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "mem-chaos: ok"
+pmbench_stage() {
+  # The benchmark builds release `pmdbg` itself; build it first so the
+  # harness tests exercise the binary this tree produces.
+  cargo build --release --offline -p pm-cli
+  cargo test --release --offline --manifest-path pmbench/Cargo.toml
 }
 
 obs_smoke_stage() {
@@ -426,23 +287,19 @@ for stage in "${STAGES[@]}"; do
     obs-smoke)
       run_stage obs-smoke obs_smoke_stage
       ;;
-    ingest-torture)
-      run_stage ingest-torture ingest_torture_stage
+    sweeps)
+      for name in "${SWEEP_NAMES[@]}"; do
+        run_stage "sweep-${name}" sweep_stage "${name}"
+      done
       ;;
-    supervisor-chaos)
-      run_stage supervisor-chaos supervisor_chaos_stage
+    sweep-*)
+      run_stage "${stage}" sweep_stage "${stage#sweep-}"
       ;;
-    serve-chaos)
-      run_stage serve-chaos serve_chaos_stage
+    daemon-smoke)
+      run_stage daemon-smoke daemon_smoke_stage
       ;;
-    concurrent-chaos)
-      run_stage concurrent-chaos concurrent_chaos_stage
-      ;;
-    journal-chaos)
-      run_stage journal-chaos journal_chaos_stage
-      ;;
-    mem-chaos)
-      run_stage mem-chaos mem_chaos_stage
+    pmbench)
+      run_stage pmbench pmbench_stage
       ;;
     *)
       echo "unknown stage: ${stage}" >&2

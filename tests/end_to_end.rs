@@ -114,9 +114,9 @@ fn injected_bugs_are_found_end_to_end() {
     );
 }
 
-/// The committed ingest-torture fixtures (one v2 binary, one v1 text)
+/// The committed corruption-sweep fixtures (one v2 binary, one v1 text)
 /// must keep parsing strictly and replaying clean — they feed the
-/// `ingest-torture` CI stage, and a stale fixture would silently shrink
+/// `sweep-corrupt` CI stage, and a stale fixture would silently shrink
 /// that sweep's coverage.
 #[test]
 fn committed_fixture_traces_ingest_strictly_and_replay_clean() {
