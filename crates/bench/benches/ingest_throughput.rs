@@ -1,11 +1,12 @@
-//! v2 ingestion hot path — owned reader vs zero-copy walker.
+//! v2 ingestion hot path — stream decoder vs zero-copy walker.
 //!
-//! Decodes the same pm-trace v2 images through the two ingest paths and
+//! Decodes the same pm-trace v2 images through the two frame readers and
 //! emits `BENCH_ingest.json`; `scripts/bench_gate.sh ingest` compares it
 //! against the committed baseline (`scripts/ingest_baseline.json`).
 //!
-//! * `owned_ms` — [`pm_trace::ingest_bytes`]: the batch reader, which
-//!   materializes every event (heap `String`s included) into a [`Trace`].
+//! * `owned_ms` — [`StreamDecoder`] fed the image in 8 KiB pushes, as the
+//!   `pmdbg serve` session host reads its socket: every event is
+//!   materialized (heap `String`s included) into an owned [`PmEvent`].
 //! * `zerocopy_ms` — [`pm_trace::zero_copy`]'s [`FrameWalker`] over the
 //!   same bytes: borrowed [`PmEventRef`]s straight off the mapped image,
 //!   batch CRC32 (slicing-by-8) and no per-event allocation.
@@ -16,9 +17,9 @@
 //! and named-range frames so the owned path pays its real string costs.
 //!
 //! `identical` is asserted from untimed runs: the walker must produce the
-//! exact event sequence, the same `IngestReport` accounting (modulo
-//! wall-clock) and the same detection report hash (owned `detect_stream`
-//! vs borrowed `detect_stream_ref`) on every input.
+//! decoder's exact event sequence, the same `IngestReport` accounting
+//! (modulo wall-clock) and the same detection report hash (owned
+//! `detect_stream` vs borrowed `detect_stream_ref`) on every input.
 //!
 //! Env knobs: `PM_BENCH_SMOKE` shrinks inputs for the CI smoke stage,
 //! `PM_BENCH_FULL` grows them; `PM_BENCH_JSON` overrides the output path.
@@ -28,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use pm_bench::{banner, TextTable};
 use pm_trace::{
-    report_hash, Detector, FenceKind, IngestLimits, IngestMode, PmEvent, ThreadId, Trace, ZeroCopy,
+    report_hash, Detector, FenceKind, IngestLimits, IngestMode, IngestReport, PmEvent,
+    StreamDecoder, ThreadId, Trace, ZeroCopy,
 };
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 use pmem_sim::FlushKind;
@@ -134,32 +136,52 @@ fn walk_consume(bytes: &[u8], limits: &IngestLimits) -> (u64, u64) {
     (events, sum)
 }
 
+/// The serve read size: `pmdbg serve` pushes socket reads of this size.
+const PUSH: usize = 8 * 1024;
+
+/// Feeds the image to a [`StreamDecoder`] in [`PUSH`]-byte chunks,
+/// handing each owned event to `f`, and returns the final report.
+fn stream_decode(bytes: &[u8], limits: &IngestLimits, mut f: impl FnMut(PmEvent)) -> IngestReport {
+    let mut dec = StreamDecoder::new(IngestMode::Strict, limits.clone());
+    for chunk in bytes.chunks(PUSH) {
+        dec.push(chunk);
+        while let Some(event) = dec.next_event().expect("bench image is clean") {
+            f(event);
+        }
+    }
+    dec.finish();
+    while let Some(event) = dec.next_event().expect("bench image is clean") {
+        f(event);
+    }
+    dec.report().clone()
+}
+
 fn measure(name: &'static str, trace: &Trace, repeats: usize) -> WorkloadResult {
     let bytes = pm_trace::to_binary(trace);
     let limits = IngestLimits::default();
 
     // Untimed identity pass: events, accounting and detection verdict
-    // must be indistinguishable across the two paths.
-    let (owned_trace, mut owned_report) =
-        pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits).expect("owned ingest");
+    // must be indistinguishable across the two readers.
+    let mut decoded = Vec::with_capacity(trace.len());
+    let mut decoder_report = stream_decode(&bytes, &limits, |event| decoded.push(event));
     let ZeroCopy::Binary(mut walker) =
         pm_trace::zero_copy(&bytes, IngestMode::Strict, &limits).expect("zero-copy opens")
     else {
         panic!("{name}: image classified as text");
     };
-    let mut walked = Vec::with_capacity(owned_trace.len());
+    let mut walked = Vec::with_capacity(decoded.len());
     while let Some(event) = walker.next_ref().expect("walk") {
         walked.push(event.to_owned());
     }
     let mut walk_report = walker.into_report();
-    let mut identical = owned_trace.events() == &walked[..];
-    identical &= owned_report.elapsed > Duration::ZERO && walk_report.elapsed > Duration::ZERO;
-    owned_report.elapsed = Duration::ZERO;
+    let mut identical = decoded == walked;
+    identical &= decoder_report.elapsed > Duration::ZERO && walk_report.elapsed > Duration::ZERO;
+    decoder_report.elapsed = Duration::ZERO;
     walk_report.elapsed = Duration::ZERO;
-    identical &= owned_report == walk_report;
+    identical &= decoder_report == walk_report;
 
     let config = DebuggerConfig::for_model(PersistencyModel::Strict);
-    let owned_reports = PmDebugger::new(config.clone()).detect_stream(owned_trace.events().iter());
+    let owned_reports = PmDebugger::new(config.clone()).detect_stream(decoded.iter());
     let ZeroCopy::Binary(mut detect_walker) =
         pm_trace::zero_copy(&bytes, IngestMode::Strict, &limits).expect("zero-copy opens")
     else {
@@ -179,9 +201,13 @@ fn measure(name: &'static str, trace: &Trace, repeats: usize) -> WorkloadResult 
     let mut owned_best = f64::MAX;
     for _ in 0..repeats {
         let start = Instant::now();
-        let (t, r) = pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits).unwrap();
+        let mut events = 0usize;
+        let report = stream_decode(&bytes, &limits, |event| {
+            events += 1;
+            black_box(event);
+        });
         owned_best = owned_best.min(start.elapsed().as_secs_f64());
-        black_box(t.len() + r.frames_ok as usize);
+        black_box(events + report.frames_ok as usize);
     }
     let mut zc_best = f64::MAX;
     for _ in 0..repeats {
@@ -243,7 +269,7 @@ fn fixture(rel: &str) -> std::path::PathBuf {
 
 fn main() {
     banner(
-        "v2 ingestion hot path — owned reader vs zero-copy walker",
+        "v2 ingestion hot path — stream decoder vs zero-copy walker",
         "decode throughput over committed fixtures and a >=1M-event synthetic mix",
     );
 
@@ -277,9 +303,9 @@ fn main() {
         "workload",
         "events",
         "MiB",
-        "owned ms",
+        "decoder ms",
         "zc ms",
-        "owned Mev/s",
+        "decoder Mev/s",
         "zc Mev/s",
         "speedup",
         "identical",
@@ -298,7 +324,7 @@ fn main() {
         ]);
     }
     print!("{}", table.render());
-    println!("speedup = owned decode time / zero-copy walk time (same bytes, best-of-N)");
+    println!("speedup = stream-decoder time / zero-copy walk time (same bytes, best-of-N)");
 
     let default_path = fixture("BENCH_ingest.json");
     let path = std::env::var("PM_BENCH_JSON")
@@ -310,7 +336,7 @@ fn main() {
     for r in &results {
         assert!(
             r.identical,
-            "{}: zero-copy path diverged from the owned reader",
+            "{}: zero-copy walker diverged from the stream decoder",
             r.name
         );
     }

@@ -19,51 +19,88 @@ fn sweep(trace: Trace, plans: usize, seed: u64, wall_clock: Option<Duration>) ->
     run_sweep(&mut CorruptSweep::new(trace).unwrap(), &opts)
 }
 
+/// CI-seed `(floor_frames, salvaged_frames)` per class, in
+/// [`CorruptionClass::ALL`] order, for the two CI fixture traces
+/// (`record_trace(BTree, 96)` and `(HashmapAtomic, 48)` are byte-identical
+/// to `tests/fixtures/btree_96.pmt2` and `hashmap_atomic_48.trace`). Any
+/// change in what salvage recovers moves these.
+const CI_TALLIES: [(&str, [(u64, u64); 4]); 2] = [
+    (
+        "btree_96",
+        [
+            (203_716, 369_125),
+            (177_285, 177_285),
+            (167_898, 369_042),
+            (0, 369_250),
+        ],
+    ),
+    (
+        "hashmap_atomic_48",
+        [
+            (22_257, 48_250),
+            (23_895, 23_895),
+            (22_221, 48_160),
+            (0, 48_375),
+        ],
+    ),
+];
+
 #[test]
 fn five_hundred_images_uphold_every_invariant() {
-    let trace = record_trace(&BTree::default(), 96);
-    let report = sweep(trace, 500, CorruptSweep::DEFAULT_SEED, None);
-    assert_eq!(
-        report.plans_run, 500,
-        "125 images per class across 4 classes"
-    );
-    assert!(report.ok(), "{}", report.to_json());
-    assert!(
-        report.truncations.is_empty(),
-        "sweep must finish inside the default budget: {:?}",
-        report.truncations
-    );
-    let mut differentials = 0;
-    for class in CorruptionClass::ALL {
-        let tally = |key: &str| report.tally(&format!("{class}.{key}"));
-        assert_eq!(tally("images"), 125, "{class} ran every image");
-        assert_eq!(tally("panics"), 0, "{}", report.to_json());
+    let traces = [
+        record_trace(&BTree::default(), 96),
+        record_trace(&HashmapAtomic::default(), 48),
+    ];
+    for (trace, (name, pinned)) in traces.into_iter().zip(CI_TALLIES) {
+        let report = sweep(trace, 500, CorruptSweep::DEFAULT_SEED, None);
         assert_eq!(
-            tally("floor_violations"),
-            0,
-            "{class} lost pre-corruption frames"
+            report.plans_run, 500,
+            "{name}: 125 images per class across 4 classes"
         );
-        assert_eq!(
-            tally("prefix_mismatches"),
-            0,
-            "{class} altered salvaged events"
-        );
-        assert_eq!(
-            tally("detector_mismatches"),
-            0,
-            "{class} detector differential"
-        );
+        assert!(report.ok(), "{name}: {}", report.to_json());
         assert!(
-            tally("salvaged_frames") >= tally("floor_frames"),
-            "{class} salvaged {} < floor {}",
-            tally("salvaged_frames"),
-            tally("floor_frames")
+            report.truncations.is_empty(),
+            "{name}: sweep must finish inside the default budget: {:?}",
+            report.truncations
         );
-        differentials += tally("differentials");
+        for (class, (floor, salvaged)) in CorruptionClass::ALL.into_iter().zip(pinned) {
+            let tally = |key: &str| report.tally(&format!("{class}.{key}"));
+            assert_eq!(tally("images"), 125, "{name} {class} ran every image");
+            assert_eq!(tally("panics"), 0, "{}", report.to_json());
+            assert_eq!(
+                tally("floor_violations"),
+                0,
+                "{name} {class} lost pre-corruption frames"
+            );
+            assert_eq!(
+                tally("prefix_mismatches"),
+                0,
+                "{name} {class} altered salvaged events"
+            );
+            assert_eq!(
+                tally("detector_mismatches"),
+                0,
+                "{name} {class} detector differential"
+            );
+            assert_eq!(
+                (tally("floor_frames"), tally("salvaged_frames")),
+                (floor, salvaged),
+                "{name} {class} floor/salvaged frames"
+            );
+            // The detector differential actually exercised something on
+            // every class that keeps a non-empty clean prefix.
+            let differentials = if class == CorruptionClass::GarbagePrefix {
+                0
+            } else {
+                25
+            };
+            assert_eq!(
+                tally("differentials"),
+                differentials,
+                "{name} {class} differentials"
+            );
+        }
     }
-    // The detector differential actually exercised something: at least one
-    // class ran sampled differentials over non-empty prefixes.
-    assert!(differentials > 0, "{}", report.to_json());
 }
 
 #[test]

@@ -159,11 +159,6 @@ pub enum Command {
         /// Skip corrupt frames and replay what survives (`--salvage`)
         /// instead of aborting on the first corruption (`--strict`).
         salvage: bool,
-        /// Zero-copy ingestion: `Some(true)` forces it (`--zero-copy`),
-        /// `Some(false)` disables it (`--no-zero-copy`), `None` auto-enables
-        /// it for v2 binary traces replayed through the sequential
-        /// pmdebugger engine.
-        zero_copy: Option<bool>,
         /// Supervision flags; any present flag engages the supervised
         /// pipeline (pmdebugger only).
         supervise: SuperviseArgs,
@@ -262,7 +257,7 @@ pub enum Command {
     Push {
         /// Server address (same syntax as `serve --listen`).
         addr: String,
-        /// Trace file (v2 binary) to push.
+        /// Trace file to push (v1 text is converted to v2 first).
         trace: String,
         /// Session key for a crash-durable (journaled) push.
         session: Option<String>,
@@ -568,7 +563,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut threads = 1usize;
             let mut metrics: Option<String> = None;
             let mut salvage = false;
-            let mut zero_copy: Option<bool> = None;
             let mut supervise = SuperviseArgs::default();
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
@@ -585,8 +579,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--metrics" => metrics = Some(value(flag)?),
                     "--salvage" => salvage = true,
                     "--strict" => salvage = false,
-                    "--zero-copy" => zero_copy = Some(true),
-                    "--no-zero-copy" => zero_copy = Some(false),
                     "--max-retries" => {
                         supervise.max_retries = Some(parse_number(flag, value(flag)?)?);
                     }
@@ -608,7 +600,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 threads,
                 metrics,
                 salvage,
-                zero_copy,
                 supervise,
             })
         }
@@ -966,6 +957,22 @@ fn bug_digest(reports: &[BugReport]) -> BugDigest {
     digest
 }
 
+/// Exports a replay's [`IngestReport`](pm_trace::IngestReport) as the
+/// `ingest.*` manifest counters.
+fn count_ingest(registry: &MetricsRegistry, ingest: &pm_trace::IngestReport) {
+    for (name, value) in [
+        ("frames_ok", ingest.frames_ok),
+        ("frames_clean", ingest.frames_clean),
+        ("frames_resynced", ingest.frames_resynced),
+        ("frames_skipped", ingest.frames_skipped),
+        ("resyncs", ingest.resyncs),
+        ("bytes_salvaged", ingest.bytes_salvaged),
+        ("elapsed_ms", ingest.elapsed.as_millis() as u64),
+    ] {
+        registry.counter(&format!("ingest.{name}")).add(value);
+    }
+}
+
 /// Counts a pre-recorded trace's events into `events.<kind>` counters, for
 /// commands that consume a [`Trace`] instead of a live runtime tap.
 fn count_trace_kinds(registry: &MetricsRegistry, trace: &Trace) {
@@ -1026,14 +1033,13 @@ fn write_manifest(
 /// zero-copy ingestion: frames are CRC-checked and decoded in place into
 /// borrowed events ([`pm_trace::PmEventRef`]) fed straight to the engine —
 /// no owned [`Trace`], no per-event allocation. Reports, salvage/ingest
-/// accounting and the metrics manifest are byte-identical to the owned
-/// replay path over the same image.
+/// accounting and the metrics manifest are the same as a parallel replay
+/// (`--threads N`) of the same image.
 #[allow(clippy::too_many_arguments)]
 fn execute_replay_zero_copy(
-    bytes: &[u8],
+    mut walker: pm_trace::FrameWalker<'_>,
     path: &str,
     tool: &str,
-    mode: IngestMode,
     salvage: bool,
     model: PersistencyModel,
     spec: Option<&OrderSpec>,
@@ -1051,17 +1057,6 @@ fn execute_replay_zero_copy(
     };
     let start = Instant::now();
     let span = registry.as_ref().map(|r| r.span("stage.replay"));
-    let walker = pm_trace::zero_copy(bytes, mode, &IngestLimits::default())
-        .map_err(|e| ExecError::Input(format!("{path}: {e}")))?;
-    let mut walker = match walker {
-        pm_trace::ZeroCopy::Binary(walker) => walker,
-        // The caller only routes here after sniffing the v2 file magic.
-        pm_trace::ZeroCopy::Text => {
-            return Err(ExecError::Internal(format!(
-                "{path}: sniffed as v2 binary but classified as text"
-            )))
-        }
-    };
     let mut kind_counts = [0u64; pm_trace::PmEvent::KIND_NAMES.len()];
     let mut events = 0u64;
     walker
@@ -1094,23 +1089,7 @@ fn execute_replay_zero_copy(
                     .add(count);
             }
         }
-        registry.counter("ingest.frames_ok").add(ingest.frames_ok);
-        registry
-            .counter("ingest.frames_clean")
-            .add(ingest.frames_clean);
-        registry
-            .counter("ingest.frames_resynced")
-            .add(ingest.frames_resynced);
-        registry
-            .counter("ingest.frames_skipped")
-            .add(ingest.frames_skipped);
-        registry.counter("ingest.resyncs").add(ingest.resyncs);
-        registry
-            .counter("ingest.bytes_salvaged")
-            .add(ingest.bytes_salvaged);
-        registry
-            .counter("ingest.elapsed_ms")
-            .add(ingest.elapsed.as_millis() as u64);
+        count_ingest(registry, &ingest);
         write_manifest(
             manifest_path,
             tool,
@@ -1596,18 +1575,8 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             threads,
             metrics,
             salvage,
-            zero_copy,
             supervise,
         } => {
-            // A flag contradiction is diagnosable without touching the file.
-            let engine_eligible = tool == "pmdebugger" && threads == 1 && !supervise.engaged();
-            if zero_copy == Some(true) && !engine_eligible {
-                return Err(ExecError::Input(
-                    "--zero-copy requires the sequential pmdebugger engine \
-                     (--tool pmdebugger --threads 1, no supervision flags)"
-                        .into(),
-                ));
-            }
             let mapped = pm_trace::MappedTrace::open(std::path::Path::new(&path))
                 .map_err(|e| ExecError::Input(format!("cannot read {path}: {e}")))?;
             let bytes = mapped.bytes();
@@ -1634,28 +1603,24 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                     )
                 }
             };
-            // Zero-copy ingestion drives the sequential pmdebugger engine
-            // straight off the mapped v2 image: borrowed events, no owned
-            // `Trace`. Auto-on for that configuration; `--no-zero-copy`
-            // falls back to the owned path, `--zero-copy` insists.
-            let is_binary = pm_trace::sniff_format(bytes) == Some(pm_trace::TraceFormat::BinV2);
-            if zero_copy == Some(true) && !is_binary {
-                return Err(ExecError::Input(format!(
-                    "{path}: --zero-copy requires a pm-trace v2 binary trace"
-                )));
-            }
-            if engine_eligible && is_binary && zero_copy.unwrap_or(true) {
-                return execute_replay_zero_copy(
-                    bytes,
-                    &path,
-                    &tool,
-                    mode,
-                    salvage,
-                    model,
-                    spec.as_ref(),
-                    metrics.as_ref(),
-                    out,
-                );
+            // The sequential pmdebugger engine runs straight off the mapped
+            // v2 image: borrowed events, no owned `Trace`.
+            if tool == "pmdebugger" && threads == 1 && !supervise.engaged() {
+                if let pm_trace::ZeroCopy::Binary(walker) =
+                    pm_trace::zero_copy(bytes, mode, &IngestLimits::default())
+                        .map_err(|e| ExecError::Input(format!("{path}: {e}")))?
+                {
+                    return execute_replay_zero_copy(
+                        walker,
+                        &path,
+                        &tool,
+                        salvage,
+                        model,
+                        spec.as_ref(),
+                        metrics.as_ref(),
+                        out,
+                    );
+                }
             }
             let (trace, ingest) = pm_trace::ingest_bytes(bytes, mode, &IngestLimits::default())
                 .map_err(|e| ExecError::Input(format!("{path}: {e}")))?;
@@ -1707,23 +1672,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             write!(out, "{summary}").map_err(wr)?;
             if let (Some(registry), Some(manifest_path)) = (&registry, &metrics) {
                 count_trace_kinds(registry, &trace);
-                registry.counter("ingest.frames_ok").add(ingest.frames_ok);
-                registry
-                    .counter("ingest.frames_clean")
-                    .add(ingest.frames_clean);
-                registry
-                    .counter("ingest.frames_resynced")
-                    .add(ingest.frames_resynced);
-                registry
-                    .counter("ingest.frames_skipped")
-                    .add(ingest.frames_skipped);
-                registry.counter("ingest.resyncs").add(ingest.resyncs);
-                registry
-                    .counter("ingest.bytes_salvaged")
-                    .add(ingest.bytes_salvaged);
-                registry
-                    .counter("ingest.elapsed_ms")
-                    .add(ingest.elapsed.as_millis() as u64);
+                count_ingest(registry, &ingest);
                 if !rules_self_counted {
                     count_rule_firings(registry, &reports);
                 }
@@ -1996,8 +1945,23 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             json,
         } => {
             let listen = Listen::parse(&addr).map_err(ExecError::Input)?;
-            let bytes = std::fs::read(&trace)
+            let mut bytes = std::fs::read(&trace)
                 .map_err(|e| ExecError::Input(format!("cannot read {trace}: {e}")))?;
+            // The daemon speaks v2 only: convert a v1 text trace first.
+            let limits = IngestLimits::default();
+            if let Ok(pm_trace::ZeroCopy::Text) =
+                pm_trace::zero_copy(&bytes, IngestMode::Strict, &limits)
+            {
+                let (events, _) = pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits)
+                    .map_err(|e| match e {
+                        // `push` has no salvage mode to suggest.
+                        pm_trace::IngestError::Corrupt { reason, .. } => {
+                            ExecError::Input(format!("{trace}: {reason}"))
+                        }
+                        e => ExecError::Input(format!("{trace}: {e}")),
+                    })?;
+                bytes = pm_trace::to_binary(&events);
+            }
             let response = match &session {
                 Some(key) => push_bytes_keyed(&listen, key, &bytes),
                 None => push_bytes(&listen, &bytes),
@@ -2264,7 +2228,6 @@ mod tests {
                 threads: 1,
                 metrics: None,
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             }
         );
@@ -2301,7 +2264,6 @@ mod tests {
                 threads: 1,
                 metrics: None,
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut out,
@@ -2322,7 +2284,6 @@ mod tests {
                 threads: 1,
                 metrics: None,
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut String::new(),
@@ -2797,7 +2758,6 @@ mod tests {
                 threads: 1,
                 metrics: Some(manifest_path.to_str().unwrap().to_owned()),
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut out,
@@ -2917,7 +2877,6 @@ mod tests {
                     threads: 1,
                     metrics: None,
                     salvage: false,
-                    zero_copy: None,
                     supervise: SuperviseArgs::default(),
                 },
                 &mut out,
@@ -2960,7 +2919,6 @@ mod tests {
                 threads: 1,
                 metrics: None,
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut String::new(),
@@ -2980,7 +2938,6 @@ mod tests {
                 threads: 1,
                 metrics: None,
                 salvage: true,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut out,
@@ -2991,59 +2948,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_zero_copy_flags() {
-        let cmd = parse(&args(&["replay", "--trace", "/tmp/t", "--zero-copy"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Replay {
-                zero_copy: Some(true),
-                ..
-            }
-        ));
-        let cmd = parse(&args(&["replay", "--trace", "/tmp/t", "--no-zero-copy"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Replay {
-                zero_copy: Some(false),
-                ..
-            }
-        ));
-        let cmd = parse(&args(&["replay", "--trace", "/tmp/t"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Replay {
-                zero_copy: None,
-                ..
-            }
-        ));
+    fn zero_copy_flags_are_gone() {
+        // The walker always runs when it can; there is no knob to pick.
+        for flag in ["--zero-copy", "--no-zero-copy"] {
+            let err = parse(&args(&["replay", "--trace", "/tmp/t", flag])).unwrap_err();
+            assert!(err.0.contains("unknown flag"), "{err:?}");
+        }
     }
 
     #[test]
-    fn zero_copy_requires_sequential_pmdebugger() {
-        let err = execute_outcome(
-            Command::Replay {
-                trace: "/tmp/whatever".into(),
-                tool: "pmdebugger".into(),
-                model: "strict".into(),
-                order: None,
-                threads: 4,
-                metrics: None,
-                salvage: false,
-                zero_copy: Some(true),
-                supervise: SuperviseArgs::default(),
-            },
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert!(
-            err.message().contains("--zero-copy requires"),
-            "{}",
-            err.message()
-        );
-    }
-
-    #[test]
-    fn zero_copy_replay_matches_owned_replay() {
+    fn zero_copy_replay_matches_parallel_replay() {
         let dir = std::env::temp_dir();
         let trace_path = dir.join("pmdbg_cli_zcp.pmt2");
         execute(
@@ -3056,47 +2970,55 @@ mod tests {
             &mut String::new(),
         )
         .unwrap();
-        let replay = |zero_copy: Option<bool>, manifest: &std::path::Path| {
+        let headerless_path = dir.join("pmdbg_cli_zcp_headerless.pmt2");
+        let mut headerless = b"garbage prefix!".to_vec();
+        headerless.extend_from_slice(&std::fs::read(&trace_path).unwrap()[8..]);
+        std::fs::write(&headerless_path, headerless).unwrap();
+        let manifest = dir.join("pmdbg_cli_zcp.json");
+        let replay = |path: &std::path::Path, threads: usize, salvage: bool| {
             let mut out = String::new();
             execute_outcome(
                 Command::Replay {
-                    trace: trace_path.to_str().unwrap().to_owned(),
+                    trace: path.to_str().unwrap().to_owned(),
                     tool: "pmdebugger".into(),
                     model: "strict".into(),
                     order: None,
-                    threads: 1,
+                    threads,
                     metrics: Some(manifest.to_str().unwrap().to_owned()),
-                    salvage: false,
-                    zero_copy,
+                    salvage,
                     supervise: SuperviseArgs::default(),
                 },
                 &mut out,
             )
             .unwrap();
-            out
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            (out, RunManifest::from_json(&text).unwrap())
         };
-        let owned_manifest = dir.join("pmdbg_cli_zcp_owned.json");
-        let zc_manifest = dir.join("pmdbg_cli_zcp_zc.json");
-        let owned_out = replay(Some(false), &owned_manifest);
-        let zc_out = replay(None, &zc_manifest); // auto-on for v2 binary
-        assert!(!owned_out.contains("[zero-copy]"), "{owned_out}");
-        assert!(zc_out.contains("[zero-copy]"), "{zc_out}");
-
-        let load = |path: &std::path::Path| {
-            let text = std::fs::read_to_string(path).unwrap();
-            RunManifest::from_json(&text).unwrap()
-        };
-        let (mut owned, mut zc) = (load(&owned_manifest), load(&zc_manifest));
-        // Everything but wall-clock must agree: bug digest (including the
-        // report hash), event-kind counters and ingest accounting.
-        assert_eq!(owned.bugs, zc.bugs);
-        owned.counters.remove("ingest.elapsed_ms");
-        zc.counters.remove("ingest.elapsed_ms");
-        assert_eq!(owned.counters, zc.counters);
-        assert!(zc.bugs.total > 0, "workload should fire rules");
+        // A clean image, and a headerless one only salvage accepts.
+        for (path, salvage) in [(&trace_path, false), (&headerless_path, true)] {
+            let (zc_out, zc) = replay(path, 1, salvage);
+            let (par_out, par) = replay(path, 2, salvage);
+            assert!(zc_out.contains("[zero-copy]"), "{zc_out}");
+            assert!(!par_out.contains("[zero-copy]"), "{par_out}");
+            // Everything but wall-clock must agree: bug digest (including
+            // the report hash), event-kind counters and ingest accounting.
+            assert_eq!(zc.bugs, par.bugs);
+            assert!(zc.bugs.total > 0, "workload should fire rules");
+            for (name, value) in &zc.counters {
+                if name.starts_with("events.")
+                    || (name.starts_with("ingest.") && name != "ingest.elapsed_ms")
+                {
+                    assert_eq!(par.counters.get(name), Some(value), "{name}");
+                }
+            }
+            if salvage {
+                assert!(zc_out.contains("skipped"), "{zc_out}");
+                assert_eq!(zc.counters.get("ingest.frames_skipped"), Some(&1));
+            }
+        }
         std::fs::remove_file(&trace_path).ok();
-        std::fs::remove_file(&owned_manifest).ok();
-        std::fs::remove_file(&zc_manifest).ok();
+        std::fs::remove_file(&headerless_path).ok();
+        std::fs::remove_file(&manifest).ok();
     }
 
     #[test]
@@ -3114,7 +3036,6 @@ mod tests {
                     threads: 1,
                     metrics: None,
                     salvage,
-                    zero_copy: None,
                     supervise: SuperviseArgs::default(),
                 },
                 &mut String::new(),
@@ -3165,7 +3086,6 @@ mod tests {
                 threads: 1,
                 metrics: Some(manifest_path.to_str().unwrap().to_owned()),
                 salvage: true,
-                zero_copy: None,
                 supervise: SuperviseArgs::default(),
             },
             &mut String::new(),
@@ -3439,7 +3359,6 @@ mod tests {
                 threads: 2,
                 metrics: None,
                 salvage: false,
-                zero_copy: None,
                 supervise: SuperviseArgs {
                     max_retries: Some(1),
                     ..SuperviseArgs::default()
@@ -3792,21 +3711,33 @@ mod tests {
 
     #[test]
     fn push_to_dead_address_is_an_input_error() {
-        let err = execute_outcome(
-            Command::Push {
-                addr: std::env::temp_dir()
-                    .join("pmdbg-cli-no-such-server.sock")
-                    .to_str()
-                    .unwrap()
-                    .to_owned(),
-                trace: "/nonexistent/trace.pmt2".into(),
-                session: None,
-                json: false,
-            },
-            &mut String::new(),
-        )
-        .unwrap_err();
+        let push = |trace: &str| {
+            execute_outcome(
+                Command::Push {
+                    addr: std::env::temp_dir()
+                        .join("pmdbg-cli-no-such-server.sock")
+                        .to_str()
+                        .unwrap()
+                        .to_owned(),
+                    trace: trace.into(),
+                    session: None,
+                    json: false,
+                },
+                &mut String::new(),
+            )
+            .unwrap_err()
+        };
+        let err = push("/nonexistent/trace.pmt2");
         assert!(matches!(err, ExecError::Input(_)), "{err:?}");
+        // A malformed text trace fails its conversion before any connect.
+        let path = std::env::temp_dir().join("pmdbg_cli_push_bad.trace");
+        std::fs::write(&path, "# pm-trace v1\nwat wat\n").unwrap();
+        let err = push(path.to_str().unwrap());
+        assert!(
+            matches!(&err, ExecError::Input(m) if m.contains("line 2")),
+            "{err:?}"
+        );
+        std::fs::remove_file(path).ok();
     }
 
     /// The daemon lifecycle end to end, in-process: serve on a unix
@@ -3878,21 +3809,74 @@ mod tests {
         assert!(push_out.contains("session 1 ok"), "{push_out}");
         assert!(push_out.contains("report hash"), "{push_out}");
 
+        // A v1 text trace is converted before the push: the daemon must
+        // see every event and reach `replay`'s verdict on the same file.
+        let text_path = dir.join("pmdbg_cli_serve.trace");
+        let text_manifest = dir.join("pmdbg_cli_serve_text_manifest.json");
+        execute(
+            Command::Record {
+                workload: "b_tree".into(),
+                ops: 96,
+                format: "text".into(),
+                out: text_path.to_str().unwrap().to_owned(),
+            },
+            &mut String::new(),
+        )
+        .unwrap();
+        let mut text_out = String::new();
+        execute_outcome(
+            Command::Push {
+                addr: socket.to_str().unwrap().to_owned(),
+                trace: text_path.to_str().unwrap().to_owned(),
+                session: None,
+                json: true,
+            },
+            &mut text_out,
+        )
+        .unwrap();
+        let pushed = PushResponse::from_json(text_out.trim()).unwrap();
+        execute_outcome(
+            Command::Replay {
+                trace: text_path.to_str().unwrap().to_owned(),
+                tool: "pmdebugger".into(),
+                model: "strict".into(),
+                order: None,
+                threads: 1,
+                metrics: Some(text_manifest.to_str().unwrap().to_owned()),
+                salvage: false,
+                supervise: SuperviseArgs::default(),
+            },
+            &mut String::new(),
+        )
+        .unwrap();
+        let replayed =
+            RunManifest::from_json(&std::fs::read_to_string(&text_manifest).unwrap()).unwrap();
+        assert_eq!(pushed.status, SessionStatus::Ok, "{text_out}");
+        assert_eq!(
+            Some(&pushed.frames_ok),
+            replayed.counters.get("ingest.frames_ok")
+        );
+        assert_eq!(pushed.report_hash, replayed.bugs.report_hash);
+        assert_eq!(pushed.bugs_total, replayed.bugs.total);
+        assert_eq!(pushed.bugs_total, 26);
+        assert_eq!(pushed.report_hash, "4fc95a913f0f9819");
+
         request_serve_stop();
         let (outcome, serve_out) = server.join().unwrap();
         let outcome = outcome.unwrap();
         assert!(!outcome.degraded, "{serve_out}");
         assert!(
-            serve_out.contains("served 1 session(s): 1 ok"),
+            serve_out.contains("served 2 session(s): 2 ok"),
             "{serve_out}"
         );
         let manifest =
             RunManifest::from_json(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
         assert_eq!(manifest.tool, "pmdbg-serve");
-        assert_eq!(manifest.counters.get("serve.sessions"), Some(&1));
+        assert_eq!(manifest.counters.get("serve.sessions"), Some(&2));
         assert!(!socket.exists(), "socket unlinked after drain");
-        std::fs::remove_file(trace_path).ok();
-        std::fs::remove_file(manifest_path).ok();
+        for path in [trace_path, manifest_path, text_path, text_manifest] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

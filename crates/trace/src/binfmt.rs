@@ -728,28 +728,8 @@ pub fn decode_payload(payload: &[u8]) -> Result<PmEvent, String> {
     decode_payload_ref(payload).map(|event| event.to_owned())
 }
 
-/// Outcome of attempting to read one frame at a buffer position.
-#[derive(Debug)]
-pub(crate) enum FrameStep {
-    /// A valid frame: the decoded event and the buffer position just past
-    /// the frame.
-    Ok {
-        /// Decoded event.
-        event: PmEvent,
-        /// Position just past the frame.
-        end: usize,
-    },
-    /// The buffer ends before the frame does; more input is needed.
-    Incomplete,
-    /// The bytes at this position are not a valid frame.
-    Corrupt {
-        /// What was wrong.
-        reason: String,
-    },
-}
-
 /// Outcome of attempting to read one frame, with the event borrowed from
-/// the buffer — the zero-copy form of [`FrameStep`].
+/// the buffer.
 #[derive(Debug)]
 pub(crate) enum FrameStepRef<'a> {
     /// A valid frame: the borrowed event and the buffer position just past
@@ -773,10 +753,12 @@ pub(crate) enum FrameStepRef<'a> {
 /// borrowed event. With `eof` set, a frame running past the buffer is
 /// corruption (truncation) instead of [`FrameStepRef::Incomplete`].
 ///
-/// CRC verification uses the slicing-by-8 kernel ([`crc32_fast`]), which is
-/// bit-identical to the byte-at-a-time [`crc32`]; every other check (and
-/// every error string) is shared with the owned [`step_frame`], which is a
-/// thin wrapper over this function.
+/// This is the one frame reader: the zero-copy walker, the push-based
+/// [`crate::StreamDecoder`] and the strict [`from_binary`] /
+/// [`frame_spans`] loops all step through it, so every reader checks the
+/// same things in the same order with the same error strings. CRC
+/// verification uses the slicing-by-8 kernel ([`crc32_fast`]), which is
+/// bit-identical to the byte-at-a-time [`crc32`].
 #[inline(always)]
 pub(crate) fn step_frame_ref(buf: &[u8], pos: usize, eof: bool) -> FrameStepRef<'_> {
     let avail = buf.len().saturating_sub(pos);
@@ -841,79 +823,6 @@ pub(crate) fn step_frame_ref(buf: &[u8], pos: usize, eof: bool) -> FrameStepRef<
     }
 }
 
-/// Attempts to read one frame starting exactly at `pos`. With `eof` set, a
-/// frame running past the buffer is corruption (truncation) instead of
-/// [`FrameStep::Incomplete`].
-///
-/// This is the owned-event baseline the ingest-throughput benchmark
-/// measures against; it deliberately keeps the byte-at-a-time [`crc32`]
-/// (the zero-copy [`step_frame_ref`] uses the bit-identical [`crc32_fast`]
-/// kernel). Both verify the same checks in the same order and share
-/// [`decode_payload_ref`] for payload decoding, so they accept exactly the
-/// same byte strings with exactly the same error strings.
-pub(crate) fn step_frame(buf: &[u8], pos: usize, eof: bool) -> FrameStep {
-    let avail = buf.len().saturating_sub(pos);
-    if avail < FRAME_HEADER_LEN {
-        if !eof {
-            return FrameStep::Incomplete;
-        }
-        return FrameStep::Corrupt {
-            reason: format!("truncated frame header ({avail} of {FRAME_HEADER_LEN} bytes)"),
-        };
-    }
-    // A 4-byte word compare; slice equality on so short a range can lower
-    // to a libc bcmp call, which costs more than the compare itself.
-    let magic = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-    if magic != u32::from_le_bytes(FRAME_MAGIC) {
-        return FrameStep::Corrupt {
-            reason: format!(
-                "bad frame magic {:02x}{:02x}{:02x}{:02x}",
-                buf[pos],
-                buf[pos + 1],
-                buf[pos + 2],
-                buf[pos + 3]
-            ),
-        };
-    }
-    let len = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_LEN {
-        return FrameStep::Corrupt {
-            reason: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
-        };
-    }
-    let want = FRAME_HEADER_LEN + len;
-    if avail < want {
-        if !eof {
-            return FrameStep::Incomplete;
-        }
-        return FrameStep::Corrupt {
-            reason: format!(
-                "truncated frame payload ({} of {len} bytes)",
-                avail - FRAME_HEADER_LEN
-            ),
-        };
-    }
-    let crc_stored = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().expect("4 bytes"));
-    let payload = &buf[pos + FRAME_HEADER_LEN..pos + want];
-    let crc_actual = crc32(payload);
-    if crc_stored != crc_actual {
-        return FrameStep::Corrupt {
-            reason: format!(
-                "CRC mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x})"
-            ),
-        };
-    }
-    match decode_payload(payload) {
-        Ok(event) => FrameStep::Ok {
-            event,
-            end: pos + want,
-        },
-        Err(reason) => FrameStep::Corrupt {
-            reason: format!("undecodable payload: {reason}"),
-        },
-    }
-}
-
 /// Error from strict parsing of a v2 binary image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinParseError {
@@ -960,20 +869,20 @@ pub fn from_binary(bytes: &[u8]) -> Result<Trace, BinParseError> {
     let mut pos = FILE_MAGIC.len();
     let mut frame = 0u64;
     while pos < bytes.len() {
-        match step_frame(bytes, pos, true) {
-            FrameStep::Ok { event, end } => {
-                trace.push(event);
+        match step_frame_ref(bytes, pos, true) {
+            FrameStepRef::Ok { event, end } => {
+                trace.push(event.to_owned());
                 pos = end;
                 frame += 1;
             }
-            FrameStep::Corrupt { reason } => {
+            FrameStepRef::Corrupt { reason } => {
                 return Err(BinParseError {
                     offset: pos as u64,
                     frame,
                     reason,
                 });
             }
-            FrameStep::Incomplete => unreachable!("eof mode never yields Incomplete"),
+            FrameStepRef::Incomplete => unreachable!("eof mode never yields Incomplete"),
         }
     }
     Ok(trace)
@@ -996,19 +905,19 @@ pub fn frame_spans(bytes: &[u8]) -> Result<Vec<(usize, usize)>, BinParseError> {
     let mut spans = Vec::new();
     let mut pos = FILE_MAGIC.len();
     while pos < bytes.len() {
-        match step_frame(bytes, pos, true) {
-            FrameStep::Ok { end, .. } => {
+        match step_frame_ref(bytes, pos, true) {
+            FrameStepRef::Ok { end, .. } => {
                 spans.push((pos, end));
                 pos = end;
             }
-            FrameStep::Corrupt { reason } => {
+            FrameStepRef::Corrupt { reason } => {
                 return Err(BinParseError {
                     offset: pos as u64,
                     frame: spans.len() as u64,
                     reason,
                 });
             }
-            FrameStep::Incomplete => unreachable!("eof mode never yields Incomplete"),
+            FrameStepRef::Incomplete => unreachable!("eof mode never yields Incomplete"),
         }
     }
     Ok(spans)

@@ -299,8 +299,8 @@ impl<'a> Fields<'a> {
 /// Parses one line of the text format.
 ///
 /// Returns `Ok(None)` for blank lines and `#` comments (including the
-/// header). This is the shared per-line core behind [`from_text`],
-/// [`from_text_salvage`] and the streaming text path in [`crate::ingest`].
+/// header). This is the shared per-line core behind [`from_text`] and the
+/// text reader in [`crate::ingest`].
 ///
 /// # Errors
 ///
@@ -445,23 +445,6 @@ pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
         }
     }
     Ok(trace)
-}
-
-/// Lenient variant of [`from_text`]: malformed lines are skipped and
-/// collected instead of aborting the parse, mirroring the binary reader's
-/// Salvage mode (the streaming equivalent, with the same
-/// [`crate::ingest::IngestReport`] accounting, lives in [`crate::ingest`]).
-pub fn from_text_salvage(text: &str) -> (Trace, Vec<ParseTraceError>) {
-    let mut trace = Trace::new();
-    let mut errors = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        match parse_line(idx + 1, raw) {
-            Ok(Some(event)) => trace.push(event),
-            Ok(None) => {}
-            Err(err) => errors.push(err),
-        }
-    }
-    (trace, errors)
 }
 
 #[cfg(test)]
@@ -618,20 +601,29 @@ mod tests {
                     fence sfence tid=0\n\
                     store addr=zz size=8 tid=0\n\
                     store addr=0x40 size=8 tid=0\n";
-        let (trace, errors) = from_text_salvage(text);
+        let (trace, report) = salvage(text);
         assert_eq!(trace.len(), 3);
-        assert_eq!(errors.len(), 2);
-        assert_eq!(errors[0].line, 3);
-        assert_eq!(errors[1].line, 5);
+        assert_eq!(report.frames_skipped, 2);
+        assert_eq!(report.first_error.unwrap().locus, 3);
+        assert_eq!(report.last_error.unwrap().locus, 5);
     }
 
     #[test]
     fn salvage_of_clean_text_matches_strict() {
         let trace = sample_trace();
-        let text = to_text(&trace);
-        let (salvaged, errors) = from_text_salvage(&text);
-        assert!(errors.is_empty());
+        let (salvaged, report) = salvage(&to_text(&trace));
+        assert!(report.clean(), "{report:?}");
         assert_eq!(salvaged, trace);
+    }
+
+    /// Text salvage is the ingest reader's salvage mode.
+    fn salvage(text: &str) -> (Trace, crate::IngestReport) {
+        crate::ingest_bytes(
+            text.as_bytes(),
+            crate::IngestMode::Salvage,
+            &crate::IngestLimits::default(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -1,12 +1,21 @@
-//! Bounded-memory streaming trace ingestion with graceful degradation.
+//! Bounded-memory trace ingestion with graceful degradation.
 //!
 //! `pmdbg` consumes recorded traces that may be multi-GB, partially
-//! written (a recorder that died mid-run), or bit-rotted. This module is
-//! the single entry point for reading them:
+//! written (a recorder that died mid-run), or bit-rotted. Every input is
+//! classified in one place, [`zero_copy`]: it looks at the first bytes and
+//! picks the v1 text line reader or the v2 binary frame walker; unknown
+//! input produces a diagnostic naming both expected formats and what was
+//! found instead. v2 frames are then read by exactly two readers, both
+//! stepping through the same frame parser:
 //!
-//! * **Auto-sniffing** — the reader looks at the first bytes and picks the
-//!   v1 text parser or the v2 binary frame walker; unknown input produces
-//!   a diagnostic naming both expected formats and what was found instead.
+//! * [`FrameWalker`](crate::FrameWalker) for bytes already in memory
+//!   (`pmdbg replay`, and [`ingest_bytes`], which drains it into an owned
+//!   [`Trace`]);
+//! * [`StreamDecoder`] for chunks pushed as they arrive (`pmdbg serve`).
+//!
+//! Both share the same contract, and are property-tested against each
+//! other:
+//!
 //! * **Two modes** — [`IngestMode::Strict`] aborts on the first corrupt
 //!   frame/line (with offset and reason); [`IngestMode::Salvage`] skips
 //!   it, resynchronizes on the next frame magic (binary) or line boundary
@@ -20,22 +29,21 @@
 //! * **Accounting** — every read returns an [`IngestReport`]
 //!   (frames ok/skipped, resyncs, bytes salvaged, first/last error), which
 //!   the CLI surfaces as `ingest.*` metrics in the run manifest.
-//!
-//! Memory stays bounded by a small rolling buffer (one maximum frame plus
-//! one read chunk) regardless of input size; the decoded [`Trace`] is
-//! bounded by `max_events`.
+//!   In-memory reads grow `bytes_read` one 64 KiB read chunk at a time,
+//!   so a read an event budget stops early reports what a decoder fed
+//!   read-chunk pieces would.
 
 use std::fmt;
-use std::io::Read;
 use std::time::{Duration, Instant};
 
-use crate::binfmt::{self, FrameStep, FILE_MAGIC, FRAME_MAGIC};
+use crate::binfmt::{self, FrameStepRef, FILE_MAGIC, FRAME_MAGIC};
 use crate::events::PmEvent;
 use crate::format;
 use crate::recorder::Trace;
+use crate::zerocopy::{zero_copy, ZeroCopy};
 
-/// Read chunk size for the rolling buffer (shared with the zero-copy
-/// walker, which simulates these refills for bit-identical accounting).
+/// Read chunk size: the granularity at which the text reader and the
+/// zero-copy walker grow `bytes_read`, and the decoder's initial buffer.
 pub(crate) const CHUNK: usize = 64 * 1024;
 
 /// Longest text line the streaming reader accepts before declaring the
@@ -171,8 +179,7 @@ impl fmt::Display for FrameError {
     }
 }
 
-/// Accounting for one ingestion, shared between the binary and text paths
-/// (and mirrored by [`format::from_text_salvage`]'s error list).
+/// Accounting for one ingestion, shared between the binary and text paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
     /// Detected (or forced) input format.
@@ -250,8 +257,8 @@ impl IngestReport {
     }
 
     /// Shared end-of-read bookkeeping: total bytes pulled from the input
-    /// and wall-clock elapsed since `start`. Every ingestion path — batch
-    /// binary, batch text, the streaming decoder's report refresh, and the
+    /// and wall-clock elapsed since `start`. Every ingestion path — the
+    /// text reader, the streaming decoder's report refresh, and the
     /// zero-copy walker — funnels through this, so `elapsed` is always
     /// populated no matter which reader ran.
     pub(crate) fn finalize(&mut self, bytes_read: u64, start: Instant) {
@@ -298,8 +305,6 @@ impl IngestReport {
 /// Why an ingestion failed outright (as opposed to degrading).
 #[derive(Debug)]
 pub enum IngestError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
     /// The input is empty.
     Empty,
     /// The input matches neither known format.
@@ -323,7 +328,6 @@ pub enum IngestError {
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IngestError::Io(e) => write!(f, "trace read failed: {e}"),
             IngestError::Empty => write!(
                 f,
                 "empty trace file: expected a `{}` text header or `PMTRACE2` binary magic",
@@ -355,33 +359,7 @@ impl fmt::Display for IngestError {
     }
 }
 
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IngestError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for IngestError {
-    fn from(e: std::io::Error) -> Self {
-        IngestError::Io(e)
-    }
-}
-
-/// Sniffs the format from the first bytes of an input. `None` means
-/// neither format matched.
-pub fn sniff_format(head: &[u8]) -> Option<TraceFormat> {
-    if head.starts_with(&FILE_MAGIC) {
-        return Some(TraceFormat::BinV2);
-    }
-    let first_line = first_line_of(head);
-    if first_line.trim() == format::HEADER {
-        return Some(TraceFormat::TextV1);
-    }
-    None
-}
+impl std::error::Error for IngestError {}
 
 pub(crate) fn first_line_of(head: &[u8]) -> String {
     let window = &head[..head.len().min(SNIFF_LEN)];
@@ -410,17 +388,15 @@ pub(crate) fn contains_frame_magic(haystack: &[u8]) -> Option<usize> {
         .position(|w| w == FRAME_MAGIC)
 }
 
-/// Rolling input buffer: reads in chunks, tracks absolute offsets, and
-/// enforces the byte budget at the source.
-struct Pump<R> {
-    reader: R,
-    buf: Vec<u8>,
-    /// Reusable read destination, so short reads don't re-zero a chunk.
-    scratch: Vec<u8>,
-    /// Absolute input offset of `buf[0]`.
-    base: u64,
-    /// Total bytes pulled from the reader.
-    bytes_read: u64,
+/// The text reader's view of an in-memory image: a window that grows one
+/// read chunk at a time (so `bytes_read` keeps its chunk granularity when
+/// a budget stops the read early) and never past the byte budget.
+struct Window<'a> {
+    data: &'a [u8],
+    /// Input offset of the first unconsumed byte.
+    base: usize,
+    /// Bytes made visible so far — the report's `bytes_read`.
+    avail: usize,
     /// No more input (true EOF).
     eof: bool,
     /// The byte budget stopped us before true EOF.
@@ -428,18 +404,10 @@ struct Pump<R> {
     max_bytes: u64,
 }
 
-impl<R: Read> Pump<R> {
-    fn new(reader: R, max_bytes: u64) -> Self {
-        Pump {
-            reader,
-            buf: Vec::with_capacity(CHUNK),
-            scratch: vec![0; CHUNK],
-            base: 0,
-            bytes_read: 0,
-            eof: false,
-            capped: false,
-            max_bytes,
-        }
+impl<'a> Window<'a> {
+    /// The unconsumed visible bytes.
+    fn buf(&self) -> &'a [u8] {
+        &self.data[self.base..self.avail]
     }
 
     /// Whether the parser should treat the buffer end as final.
@@ -447,30 +415,27 @@ impl<R: Read> Pump<R> {
         self.eof || self.capped
     }
 
-    /// Reads one more chunk (respecting the byte budget). Returns the
-    /// number of bytes appended; 0 means EOF or budget exhaustion.
-    fn refill(&mut self) -> std::io::Result<usize> {
-        if self.eof || self.capped {
-            return Ok(0);
+    /// Makes one more chunk visible (respecting the byte budget); a
+    /// refill that adds nothing marks EOF or budget exhaustion.
+    fn refill(&mut self) {
+        if self.at_end() {
+            return;
         }
-        let room = (self.max_bytes - self.bytes_read).min(CHUNK as u64) as usize;
+        let room = (self.max_bytes - self.avail as u64).min(CHUNK as u64) as usize;
         if room == 0 {
             self.capped = true;
-            return Ok(0);
+            return;
         }
-        let n = self.reader.read(&mut self.scratch[..room])?;
-        self.buf.extend_from_slice(&self.scratch[..n]);
-        self.bytes_read += n as u64;
+        let n = room.min(self.data.len() - self.avail);
+        self.avail += n;
         if n == 0 {
             self.eof = true;
         }
-        Ok(n)
     }
 
-    /// Drops the first `n` buffered bytes.
+    /// Drops the first `n` visible bytes.
     fn consume(&mut self, n: usize) {
-        self.buf.drain(..n);
-        self.base += n as u64;
+        self.base += n;
     }
 }
 
@@ -491,7 +456,9 @@ impl Clock {
     }
 }
 
-/// Streams a trace from `reader`, auto-sniffing the format.
+/// Reads an in-memory trace image of either format. [`zero_copy`] sniffs
+/// it; v2 binary is drained from the [`FrameWalker`](crate::FrameWalker)
+/// into owned events, v1 text goes through the line reader.
 ///
 /// Salvage mode additionally accepts two degraded inputs strict mode
 /// rejects: headerless v1 text whose first line parses as an event, and
@@ -501,10 +468,25 @@ impl Clock {
 /// # Errors
 ///
 /// [`IngestError::Empty`] / [`IngestError::UnknownFormat`] when the input
-/// can't be identified, [`IngestError::Io`] on read failure, and
-/// [`IngestError::Corrupt`] in strict mode only.
-pub fn ingest_reader<R: Read>(
-    reader: R,
+/// can't be identified, and [`IngestError::Corrupt`] in strict mode only.
+pub fn ingest_bytes(
+    bytes: &[u8],
+    mode: IngestMode,
+    limits: &IngestLimits,
+) -> Result<(Trace, IngestReport), IngestError> {
+    match zero_copy(bytes, mode, limits)? {
+        ZeroCopy::Binary(mut walker) => {
+            let mut trace = Trace::new();
+            walker.for_each_ref(|event| trace.push(event.to_owned()))?;
+            Ok((trace, walker.into_report()))
+        }
+        ZeroCopy::Text => ingest_text(bytes, mode, limits),
+    }
+}
+
+/// The v1 text line reader over an image [`zero_copy`] classified as text.
+fn ingest_text(
+    bytes: &[u8],
     mode: IngestMode,
     limits: &IngestLimits,
 ) -> Result<(Trace, IngestReport), IngestError> {
@@ -512,167 +494,16 @@ pub fn ingest_reader<R: Read>(
         start: Instant::now(),
         deadline: limits.deadline,
     };
-    let mut pump = Pump::new(reader, limits.max_bytes);
-    while pump.buf.len() < SNIFF_LEN && !pump.at_end() {
-        pump.refill()?;
-    }
-    if pump.buf.is_empty() {
-        return Err(IngestError::Empty);
-    }
-
-    if pump.buf.starts_with(&FILE_MAGIC) {
-        pump.consume(FILE_MAGIC.len());
-        return ingest_binary(pump, mode, limits, clock, false);
-    }
-    let first_line = first_line_of(&pump.buf);
-    if first_line.trim() == format::HEADER {
-        return ingest_text(pump, mode, limits, clock);
-    }
-
-    // Unknown leader: describe what we see, and in salvage mode try the
-    // degraded entries.
-    if first_line.trim_start().starts_with("# pm-trace") {
-        return Err(IngestError::UnknownFormat {
-            detail: format!("found unsupported header `{}`", first_line.trim()),
-        });
-    }
-    let headerless_event = format::parse_line(1, &first_line).ok().flatten().is_some();
-    if mode == IngestMode::Salvage {
-        if headerless_event {
-            return ingest_text(pump, mode, limits, clock);
-        }
-        if contains_frame_magic(&pump.buf).is_some() {
-            return ingest_binary(pump, mode, limits, clock, true);
-        }
-    }
-    let detail = if headerless_event {
-        format!(
-            "first line `{}` parses as a trace event, so this looks like headerless v1 \
-             text (--salvage accepts it)",
-            first_line.trim()
-        )
-    } else if looks_textual(&pump.buf) {
-        format!("input is text whose first line is `{}`", first_line.trim())
-    } else {
-        "input looks like unrecognized binary data".to_owned()
+    let mut window = Window {
+        data: bytes,
+        base: 0,
+        avail: 0,
+        eof: false,
+        capped: false,
+        max_bytes: limits.max_bytes,
     };
-    Err(IngestError::UnknownFormat { detail })
-}
-
-/// Streams a trace from an in-memory byte image (see [`ingest_reader`]).
-///
-/// # Errors
-///
-/// Same contract as [`ingest_reader`].
-pub fn ingest_bytes(
-    bytes: &[u8],
-    mode: IngestMode,
-    limits: &IngestLimits,
-) -> Result<(Trace, IngestReport), IngestError> {
-    ingest_reader(bytes, mode, limits)
-}
-
-#[allow(clippy::needless_pass_by_value)]
-fn ingest_binary<R: Read>(
-    mut pump: Pump<R>,
-    mode: IngestMode,
-    limits: &IngestLimits,
-    clock: Clock,
-    mut resyncing: bool,
-) -> Result<(Trace, IngestReport), IngestError> {
-    let mut trace = Trace::new();
-    let mut report = IngestReport::new(TraceFormat::BinV2, mode);
-    if resyncing {
-        // Damaged file header: the sniffer found frame magic further in.
-        report.record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
-        report.frames_skipped += 1;
-    }
-    let mut pos = 0usize;
-    'outer: loop {
-        if clock.expired() {
-            report.truncated = Some(clock.truncation());
-            break;
-        }
-        if report.frames_ok >= limits.max_events {
-            report.truncated = Some(IngestTruncation::Events {
-                limit: limits.max_events,
-            });
-            break;
-        }
-        if resyncing {
-            // Scan forward to the next frame magic, pumping as needed.
-            loop {
-                if let Some(j) = contains_frame_magic(&pump.buf[pos..]) {
-                    pos += j;
-                    resyncing = false;
-                    report.resyncs += 1;
-                    break;
-                }
-                // Keep a 3-byte tail in case a magic straddles the chunk.
-                let keep = pump.buf.len().saturating_sub(pos).min(3);
-                pump.consume(pump.buf.len() - keep);
-                pos = 0;
-                if pump.at_end() {
-                    break 'outer;
-                }
-                pump.refill()?;
-                if clock.expired() {
-                    report.truncated = Some(clock.truncation());
-                    break 'outer;
-                }
-            }
-        }
-        if pos >= pump.buf.len() && pump.at_end() {
-            break;
-        }
-        match binfmt::step_frame(&pump.buf, pos, pump.at_end()) {
-            FrameStep::Ok { event, end } => {
-                report.record_frame((end - pos) as u64);
-                trace.push(event);
-                pos = end;
-                if pos >= CHUNK {
-                    pump.consume(pos);
-                    pos = 0;
-                }
-            }
-            FrameStep::Incomplete => {
-                pump.consume(pos);
-                pos = 0;
-                pump.refill()?;
-            }
-            FrameStep::Corrupt { reason } => {
-                let locus = pump.base + pos as u64;
-                if mode == IngestMode::Strict {
-                    return Err(IngestError::Corrupt {
-                        format: TraceFormat::BinV2,
-                        locus,
-                        frames_ok: report.frames_ok,
-                        reason,
-                    });
-                }
-                report.record_error(locus, reason);
-                report.frames_skipped += 1;
-                pos += 1;
-                resyncing = true;
-            }
-        }
-    }
-    if report.truncated.is_none() && pump.capped {
-        report.truncated = Some(IngestTruncation::Bytes {
-            limit: limits.max_bytes,
-        });
-    }
-    report.finalize(pump.bytes_read, clock.start);
-    Ok((trace, report))
-}
-
-#[allow(clippy::needless_pass_by_value)]
-fn ingest_text<R: Read>(
-    mut pump: Pump<R>,
-    mode: IngestMode,
-    limits: &IngestLimits,
-    clock: Clock,
-) -> Result<(Trace, IngestReport), IngestError> {
+    // The first chunk is visible up front, as it was to the sniffer.
+    window.refill();
     let mut trace = Trace::new();
     let mut report = IngestReport::new(TraceFormat::TextV1, mode);
     let mut line_no = 0u64;
@@ -689,21 +520,21 @@ fn ingest_text<R: Read>(
         }
         // Pull until the buffer holds a full line (or the input ends).
         let nl = loop {
-            match pump.buf.iter().position(|&b| b == b'\n') {
+            match window.buf().iter().position(|&b| b == b'\n') {
                 Some(idx) => break Some(idx),
-                None if pump.at_end() => break None,
+                None if window.at_end() => break None,
                 None => {
-                    if pump.buf.len() > MAX_LINE_LEN {
+                    if window.buf().len() > MAX_LINE_LEN {
                         break None; // handled as an oversized line below
                     }
-                    pump.refill()?;
+                    window.refill();
                 }
             }
         };
         let (line_end, consumed) = match nl {
             Some(idx) => (idx, idx + 1),
-            None if pump.buf.is_empty() => break,
-            None if pump.buf.len() > MAX_LINE_LEN && !pump.at_end() => {
+            None if window.buf().is_empty() => break,
+            None if window.buf().len() > MAX_LINE_LEN && !window.at_end() => {
                 // A line longer than any legitimate event: corrupt. Skip
                 // to the next newline without buffering the monster.
                 line_no += 1;
@@ -720,14 +551,14 @@ fn ingest_text<R: Read>(
                 report.frames_skipped += 1;
                 // Drain until the newline shows up.
                 loop {
-                    pump.consume(pump.buf.len());
-                    pump.refill()?;
-                    if let Some(idx) = pump.buf.iter().position(|&b| b == b'\n') {
-                        pump.consume(idx + 1);
+                    window.consume(window.buf().len());
+                    window.refill();
+                    if let Some(idx) = window.buf().iter().position(|&b| b == b'\n') {
+                        window.consume(idx + 1);
                         break;
                     }
-                    if pump.at_end() {
-                        pump.consume(pump.buf.len());
+                    if window.at_end() {
+                        window.consume(window.buf().len());
                         break;
                     }
                     if clock.expired() {
@@ -736,10 +567,10 @@ fn ingest_text<R: Read>(
                 }
                 continue;
             }
-            None => (pump.buf.len(), pump.buf.len()),
+            None => (window.buf().len(), window.buf().len()),
         };
         line_no += 1;
-        let raw = &pump.buf[..line_end];
+        let raw = &window.buf()[..line_end];
         let parsed = match std::str::from_utf8(raw) {
             Ok(text) => format::parse_line(line_no as usize, text).map_err(|e| e.to_string()),
             Err(_) => Err(format!("trace line {line_no}: line is not UTF-8")),
@@ -763,33 +594,32 @@ fn ingest_text<R: Read>(
                 report.frames_skipped += 1;
             }
         }
-        pump.consume(consumed);
+        window.consume(consumed);
     }
-    if report.truncated.is_none() && pump.capped {
+    if report.truncated.is_none() && window.capped {
         report.truncated = Some(IngestTruncation::Bytes {
             limit: limits.max_bytes,
         });
     }
-    report.finalize(pump.bytes_read, clock.start);
+    report.finalize(window.avail as u64, clock.start);
     Ok((trace, report))
 }
 
-/// Push-based incremental decoder for the v2 binary frame stream — the
-/// frame-pull half of [`ingest_reader`] for callers that do not own the
-/// read loop (the `pmdbg serve` session host feeds it socket chunks as
-/// they arrive and drains events into the detection state machine between
-/// reads, so per-session memory stays bounded by the decoder's rolling
-/// buffer plus one read chunk).
+/// Push-based incremental decoder for the v2 binary frame stream, for
+/// callers that do not own the read loop (the `pmdbg serve` session host
+/// feeds it socket chunks as they arrive and drains events into the
+/// detection state machine between reads, so per-session memory stays
+/// bounded by the decoder's rolling buffer plus one read chunk).
 ///
-/// The decoder mirrors the batch reader's salvage semantics exactly:
-/// feeding the same byte stream through [`StreamDecoder::push`] /
-/// [`StreamDecoder::next_event`] — under any chunking whatsoever — yields
-/// the same events and the same [`IngestReport`] accounting as
-/// [`ingest_bytes`] over the whole image (property-tested in
-/// `crates/trace/tests/ingest_properties.rs`). Budgets behave like the
-/// batch reader's too: bytes past `max_bytes` are dropped at the door,
-/// events past `max_events` stop decoding, and both mark the report
-/// truncated instead of erroring.
+/// The decoder keeps its own salvage state machine, independent of the
+/// in-memory [`FrameWalker`](crate::FrameWalker): feeding the same byte
+/// stream through [`StreamDecoder::push`] / [`StreamDecoder::next_event`]
+/// — under any chunking whatsoever — yields the same events and the same
+/// [`IngestReport`] accounting as [`ingest_bytes`] over the whole image
+/// (property-tested in `crates/trace/tests/ingest_properties.rs` and
+/// `zerocopy_properties.rs`). Budgets behave the same way too: bytes past
+/// `max_bytes` are dropped at the door, events past `max_events` stop
+/// decoding, and both mark the report truncated instead of erroring.
 #[derive(Debug)]
 pub struct StreamDecoder {
     mode: IngestMode,
@@ -805,7 +635,7 @@ pub struct StreamDecoder {
     resyncing: bool,
     /// [`StreamDecoder::finish`] was called: the buffer end is final.
     eof: bool,
-    /// The byte budget dropped input (mirrors the pump's `capped`).
+    /// The byte budget dropped input.
     capped: bool,
     start: Instant,
     report: IngestReport,
@@ -927,8 +757,8 @@ impl StreamDecoder {
                         });
                     }
                     // Damaged stream header: lock onto the first frame
-                    // magic instead (mirrors the batch reader's salvage
-                    // entry for headerless binary images).
+                    // magic instead (the walker's salvage entry for
+                    // headerless binary images).
                     self.report
                         .record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
                     self.report.frames_skipped += 1;
@@ -956,8 +786,9 @@ impl StreamDecoder {
             if self.pos >= self.buf.len() && self.at_end() {
                 return Ok(None);
             }
-            match binfmt::step_frame(&self.buf, self.pos, self.at_end()) {
-                FrameStep::Ok { event, end } => {
+            match binfmt::step_frame_ref(&self.buf, self.pos, self.at_end()) {
+                FrameStepRef::Ok { event, end } => {
+                    let event = event.to_owned();
                     self.report.record_frame((end - self.pos) as u64);
                     self.pos = end;
                     if self.pos >= CHUNK {
@@ -965,11 +796,11 @@ impl StreamDecoder {
                     }
                     return Ok(Some(event));
                 }
-                FrameStep::Incomplete => {
+                FrameStepRef::Incomplete => {
                     self.consume_to(self.pos);
                     return Ok(None);
                 }
-                FrameStep::Corrupt { reason } => {
+                FrameStepRef::Corrupt { reason } => {
                     let locus = self.base + self.pos as u64;
                     if self.mode == IngestMode::Strict {
                         return Err(IngestError::Corrupt {
@@ -1032,13 +863,19 @@ mod tests {
     #[test]
     fn sniffs_both_formats() {
         let trace = sample_trace(2);
-        assert_eq!(sniff_format(&to_binary(&trace)), Some(TraceFormat::BinV2));
-        assert_eq!(
-            sniff_format(to_text(&trace).as_bytes()),
-            Some(TraceFormat::TextV1)
-        );
-        assert_eq!(sniff_format(b"hello world"), None);
-        assert_eq!(sniff_format(b""), None);
+        let limits = IngestLimits::default();
+        let bytes = to_binary(&trace);
+        let text = to_text(&trace);
+        assert!(matches!(
+            zero_copy(&bytes, IngestMode::Strict, &limits),
+            Ok(ZeroCopy::Binary(_))
+        ));
+        assert!(matches!(
+            zero_copy(text.as_bytes(), IngestMode::Strict, &limits),
+            Ok(ZeroCopy::Text)
+        ));
+        assert!(zero_copy(b"hello world", IngestMode::Strict, &limits).is_err());
+        assert!(zero_copy(b"", IngestMode::Strict, &limits).is_err());
     }
 
     #[test]
@@ -1289,24 +1126,22 @@ mod tests {
         let trace = sample_trace(4_000);
         let bytes = to_binary(&trace);
         assert!(bytes.len() > 2 * CHUNK);
-        struct OneByOne<'a>(&'a [u8], usize);
-        impl Read for OneByOne<'_> {
-            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-                // Adversarially tiny reads: 1..=7 bytes at a time.
-                let n = (self.1 % 7 + 1).min(self.0.len()).min(out.len());
-                out[..n].copy_from_slice(&self.0[..n]);
-                self.0 = &self.0[n..];
-                self.1 += 1;
-                Ok(n)
+        let mut dec = StreamDecoder::new(IngestMode::Strict, IngestLimits::default());
+        let mut got = Trace::new();
+        let (mut off, mut i) = (0, 0);
+        while off < bytes.len() {
+            // Adversarially tiny pushes: 1..=7 bytes at a time.
+            let n = (i % 7 + 1).min(bytes.len() - off);
+            dec.push(&bytes[off..off + n]);
+            off += n;
+            i += 1;
+            while let Some(event) = dec.next_event().unwrap() {
+                got.push(event);
             }
         }
-        let (got, report) = ingest_reader(
-            OneByOne(&bytes, 0),
-            IngestMode::Strict,
-            &IngestLimits::default(),
-        )
-        .unwrap();
+        dec.finish();
+        assert!(dec.next_event().unwrap().is_none());
         assert_eq!(got, trace);
-        assert!(report.clean());
+        assert!(dec.report().clean());
     }
 }

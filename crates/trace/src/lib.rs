@@ -69,10 +69,10 @@ pub use detector::{
     report_hash, BugKind, BugReport, CountingDetector, Detector, NopDetector, Severity,
 };
 pub use events::{Addr, FenceKind, PmEvent, PmEventRef, StrandId, ThreadId, CAS_PUBLISH_WINDOW};
-pub use format::{from_text, from_text_salvage, parse_line, to_text, ParseTraceError};
+pub use format::{from_text, parse_line, to_text, ParseTraceError};
 pub use ingest::{
-    ingest_bytes, ingest_reader, sniff_format, FrameError, IngestError, IngestLimits, IngestMode,
-    IngestReport, IngestTruncation, StreamDecoder, TraceFormat,
+    ingest_bytes, FrameError, IngestError, IngestLimits, IngestMode, IngestReport,
+    IngestTruncation, StreamDecoder, TraceFormat,
 };
 pub use orderspec::{OrderRule, OrderSpec, ParseOrderSpecError};
 pub use recorder::{

@@ -1,16 +1,12 @@
-//! Zero-copy ingestion for pm-trace v2: detection directly over framed
-//! bytes.
+//! Zero-copy ingestion for pm-trace v2 — detection directly over framed
+//! bytes — and the one place a trace image is classified.
 //!
-//! The owned reader in [`crate::ingest`] copies every input byte through a
-//! rolling buffer and materializes every frame into an owned
-//! [`PmEvent`](crate::PmEvent) (heap strings included) before the detector
-//! sees it. That is the right shape for sockets and pipes, but for the
-//! common case — a complete v2 trace file already sitting in memory (or
-//! mapped into it) — the copies and allocations are pure overhead: ROADMAP
-//! item 2 targets 100M+ events/sec, and per-event bookkeeping is exactly
-//! what the paper's fast-mode design says to eliminate.
-//!
-//! This module is the allocation-free hot path:
+//! [`zero_copy`] sniffs an in-memory image (v2 binary, v1 text, or in
+//! salvage mode a degraded form of either) and, for binary, returns a
+//! [`FrameWalker`] over it. Every in-memory read goes through it:
+//! `pmdbg replay` drives the walker straight into the detector, and
+//! [`ingest_bytes`](crate::ingest_bytes) drains it into an owned
+//! [`Trace`](crate::Trace).
 //!
 //! * [`MappedTrace`] maps (or, on failure/foreign platforms, reads) a trace
 //!   file and hands out its bytes as one borrowable slice;
@@ -18,19 +14,22 @@
 //!   [`PmEventRef`]s whose name strings point into the trace image —
 //!   the hot loop performs **zero per-event allocations**;
 //! * CRC verification runs through the slicing-by-8 kernel
-//!   ([`crate::binfmt::crc32_fast`]) and LEB128 decoding through the shared
-//!   [`decode_payload_ref`](crate::binfmt::decode_payload_ref) used by both
-//!   paths, so batch verification is word-at-a-time while staying
-//!   bit-identical to the owned reader.
+//!   ([`crate::binfmt::crc32_fast`]) and LEB128 decoding through
+//!   [`decode_payload_ref`](crate::binfmt::decode_payload_ref), batched
+//!   word-at-a-time over whole frames; anything the batch pass does not
+//!   accept is re-stepped by the frame parser the push-based
+//!   [`StreamDecoder`](crate::StreamDecoder) also uses.
 //!
-//! **Byte-identity invariant** (property-tested in
+//! **Reader-equivalence invariant** (property-tested in
 //! `crates/trace/tests/zerocopy_properties.rs`): for any input — clean,
-//! bit-flipped, truncated, or headerless — [`zero_copy`] classifies the
-//! input exactly like [`ingest_bytes`](crate::ingest_bytes) (same errors,
-//! same salvage entries), and a full [`FrameWalker`] drain yields the same
-//! event sequence and a bit-identical [`IngestReport`] (every counter,
-//! every error locus, the same truncation verdict, and even the same
-//! chunk-granular `bytes_read` when an event budget stops the read early).
+//! bit-flipped, truncated, or headerless — a full [`FrameWalker`] drain
+//! yields the same event sequence and the same [`IngestReport`] (every
+//! counter, every error locus, the same truncation verdict) as the
+//! [`StreamDecoder`](crate::StreamDecoder) fed the same bytes in any
+//! chunking. The two keep independent salvage state machines, so each
+//! checks the other. `bytes_read` grows one 64 KiB read chunk at a time,
+//! so a walk an event budget stops early matches a decoder fed in
+//! read-chunk pieces.
 
 use std::time::Instant;
 
@@ -54,32 +53,30 @@ pub enum ZeroCopy<'a> {
     Binary(FrameWalker<'a>),
     /// v1 text (or salvage-accepted headerless text). Text parsing builds
     /// owned strings line by line anyway, so there is no zero-copy win:
-    /// callers fall back to [`crate::ingest_bytes`].
+    /// callers read it with [`crate::ingest_bytes`].
     Text,
 }
 
-/// Classifies an in-memory trace image exactly like
-/// [`crate::ingest_bytes`] and, for v2 binary input, returns the zero-copy
-/// [`FrameWalker`] over it.
+/// Classifies an in-memory trace image and, for v2 binary input, returns
+/// the zero-copy [`FrameWalker`] over it.
 ///
-/// The sniffing window, the degraded salvage entries (headerless text,
-/// damaged binary header) and every diagnostic string mirror the owned
-/// reader, so swapping paths can never change what an input is diagnosed
-/// as.
+/// The sniffing window is the first read chunk, capped by the byte
+/// budget. Salvage mode adds two degraded entries strict mode rejects:
+/// headerless text whose first line parses as an event, and a binary image
+/// with a damaged file header but a frame magic in the window.
 ///
 /// # Errors
 ///
-/// [`IngestError::Empty`] and [`IngestError::UnknownFormat`] under exactly
-/// the conditions [`crate::ingest_bytes`] produces them.
+/// [`IngestError::Empty`] for an empty input, and
+/// [`IngestError::UnknownFormat`] naming what was found when the input
+/// matches neither format.
 pub fn zero_copy<'a>(
     bytes: &'a [u8],
     mode: IngestMode,
     limits: &IngestLimits,
 ) -> Result<ZeroCopy<'a>, IngestError> {
     let start = Instant::now();
-    // The owned reader sniffs from its first rolling-buffer fill: at most
-    // one read chunk, never more than the byte budget. Mirror that window
-    // so classification of pathological inputs cannot diverge.
+    // Sniff the first read chunk at most, never more than the byte budget.
     let view_len =
         usize::try_from((bytes.len() as u64).min(limits.max_bytes)).unwrap_or(usize::MAX);
     let window = &bytes[..view_len.min(CHUNK)];
@@ -128,18 +125,19 @@ pub fn zero_copy<'a>(
 
 /// An in-place walk over a v2 binary image, yielding borrowed events.
 ///
-/// The walker replays the owned reader's state machine over the borrowed
-/// slice: the same resync scans, the same corruption skips, the same
-/// budget checks in the same order — but events are decoded straight out
-/// of the image with no rolling-buffer copies, no event materialization
-/// and no per-event heap traffic. `avail` simulates the owned reader's
-/// chunked refills so that `bytes_read` stays bit-identical even when an
-/// event budget stops the read mid-file.
+/// The walker runs the same salvage state machine as
+/// [`StreamDecoder`](crate::StreamDecoder) over the borrowed slice: the
+/// same resync scans, the same corruption skips, the same budget checks in
+/// the same order — but events are decoded straight out of the image with
+/// no rolling-buffer copies, no event materialization and no per-event
+/// heap traffic. `avail` grows one read chunk at a time, so `bytes_read`
+/// keeps its chunk granularity when an event budget stops the read
+/// mid-file.
 pub struct FrameWalker<'a> {
     data: &'a [u8],
     /// Parse ceiling: `min(input length, byte budget)`.
     view_len: usize,
-    /// Simulated rolling-buffer extent — the owned reader's `bytes_read`.
+    /// Bytes made visible so far, one read chunk at a time — `bytes_read`.
     avail: usize,
     pos: usize,
     /// Where the next resync scan starts (avoids rescanning on growth).
@@ -184,8 +182,8 @@ impl<'a> FrameWalker<'a> {
         let mut scan_from = 0;
         if headerless {
             // Damaged file header: the sniffer found frame magic further
-            // in; lock onto it (and account the skip) like the owned
-            // reader's salvage entry.
+            // in; lock onto it (and account the skip) like the stream
+            // decoder's damaged-header entry.
             report.record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
             report.frames_skipped += 1;
         } else {
@@ -290,8 +288,7 @@ impl<'a> FrameWalker<'a> {
         self.deadline.is_some_and(|d| self.start.elapsed() >= d)
     }
 
-    /// Simulates one owned-reader refill: the rolling buffer grows by one
-    /// read chunk, capped at the parse ceiling.
+    /// Makes one more read chunk visible, capped at the parse ceiling.
     fn grow(&mut self) {
         self.avail = (self.avail + CHUNK).min(self.view_len);
     }
@@ -302,10 +299,8 @@ impl<'a> FrameWalker<'a> {
                 self.report.truncated = Some(t);
             }
         }
-        // The owned reader's pump flags `capped` when a refill finds the
-        // byte budget exhausted — which a drained walk always attempts, so
-        // the flag is equivalent to the budget being no larger than the
-        // input.
+        // A drained walk always reaches the parse ceiling, so the byte
+        // budget bit exactly when it is no larger than the input.
         if self.report.truncated.is_none() && self.data.len() as u64 >= self.max_bytes {
             self.report.truncated = Some(IngestTruncation::Bytes {
                 limit: self.max_bytes,
@@ -328,8 +323,7 @@ impl<'a> FrameWalker<'a> {
     /// # Errors
     ///
     /// In [`IngestMode::Strict`] only: [`IngestError::Corrupt`] at the
-    /// first bad frame, with the same locus and reason as the owned
-    /// reader.
+    /// first bad frame, with its byte offset and reason.
     #[inline]
     pub fn next_ref(&mut self) -> Result<Option<PmEventRef<'a>>, IngestError> {
         if self.done {
@@ -367,9 +361,8 @@ impl<'a> FrameWalker<'a> {
                         self.stop(None);
                         return Ok(None);
                     }
-                    // A frame magic may straddle the simulated chunk
-                    // boundary: keep a 3-byte overlap, like the owned
-                    // scanner's tail.
+                    // A frame magic may straddle the chunk boundary: keep
+                    // a 3-byte overlap, like the stream decoder's tail.
                     self.scan_from = self.avail.saturating_sub(3).max(self.scan_from);
                     self.grow();
                     if self.expired() {
@@ -383,8 +376,8 @@ impl<'a> FrameWalker<'a> {
                 return Ok(None);
             }
             // Batch CRC32 + LEB128 over whole frames. Deadline-limited
-            // walks stay on the single-step path so the per-event expiry
-            // check keeps its owned-reader granularity.
+            // walks stay on the single-step path so the expiry check keeps
+            // its per-event granularity.
             if self.deadline.is_none() {
                 self.refill();
                 if let Some(event) = self.serve() {
@@ -470,8 +463,8 @@ impl<'a> FrameWalker<'a> {
         }
     }
 
-    /// The accounting so far; final (and bit-identical to the owned
-    /// reader's) once [`FrameWalker::next_ref`] has returned `Ok(None)`.
+    /// The accounting so far; final once [`FrameWalker::next_ref`] has
+    /// returned `Ok(None)`.
     pub fn report(&self) -> &IngestReport {
         &self.report
     }
@@ -621,7 +614,7 @@ mod tests {
     use super::*;
     use crate::binfmt::to_binary;
     use crate::events::{FenceKind, PmEvent, ThreadId};
-    use crate::ingest::ingest_bytes;
+    use crate::ingest::StreamDecoder;
     use crate::recorder::Trace;
 
     fn store(addr: u64) -> PmEvent {
@@ -666,21 +659,49 @@ mod tests {
         }
     }
 
+    /// Feeds `bytes` to a [`StreamDecoder`] one read chunk at a time,
+    /// draining between pushes and pushing nothing more once a budget has
+    /// stopped it — the walker's own refill pattern, so even a
+    /// budget-truncated `bytes_read` is comparable.
+    fn decode_in_chunks(
+        bytes: &[u8],
+        mode: IngestMode,
+        limits: &IngestLimits,
+    ) -> Result<(Vec<PmEvent>, IngestReport), IngestError> {
+        let mut dec = StreamDecoder::new(mode, limits.clone());
+        let mut events = Vec::new();
+        for chunk in bytes.chunks(CHUNK) {
+            dec.push(chunk);
+            while let Some(event) = dec.next_event()? {
+                events.push(event);
+            }
+            if dec.report().truncated.is_some() {
+                break;
+            }
+        }
+        dec.finish();
+        while let Some(event) = dec.next_event()? {
+            events.push(event);
+        }
+        Ok((events, dec.report().clone()))
+    }
+
     fn assert_identical(bytes: &[u8], mode: IngestMode, limits: &IngestLimits) {
         let (events, mut report) = drain(bytes, mode, limits);
-        let (trace, mut owned_report) = ingest_bytes(bytes, mode, limits).expect("owned ingests");
-        assert_eq!(events, trace.events());
+        let (decoded, mut decoder_report) =
+            decode_in_chunks(bytes, mode, limits).expect("decoder ingests");
+        assert_eq!(events, decoded);
         // Wall-clock is the one inherently run-dependent field; everything
         // else must match bit for bit.
         assert!(report.elapsed > std::time::Duration::ZERO);
-        assert!(owned_report.elapsed > std::time::Duration::ZERO);
+        assert!(decoder_report.elapsed > std::time::Duration::ZERO);
         report.elapsed = std::time::Duration::ZERO;
-        owned_report.elapsed = std::time::Duration::ZERO;
-        assert_eq!(report, owned_report);
+        decoder_report.elapsed = std::time::Duration::ZERO;
+        assert_eq!(report, decoder_report);
     }
 
     #[test]
-    fn clean_image_walks_identically_to_owned_ingest() {
+    fn clean_image_walks_identically_to_stream_decoder() {
         let bytes = to_binary(&sample_trace(500));
         assert_identical(&bytes, IngestMode::Strict, &IngestLimits::default());
         assert_identical(&bytes, IngestMode::Salvage, &IngestLimits::default());
@@ -695,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_error_matches_owned_reader() {
+    fn strict_error_matches_stream_decoder() {
         let mut bytes = to_binary(&sample_trace(50));
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -709,9 +730,9 @@ mod tests {
             },
             _ => panic!("expected binary"),
         };
-        let owned_err =
-            ingest_bytes(&bytes, IngestMode::Strict, &IngestLimits::default()).unwrap_err();
-        assert_eq!(walker_err.to_string(), owned_err.to_string());
+        let decoder_err =
+            decode_in_chunks(&bytes, IngestMode::Strict, &IngestLimits::default()).unwrap_err();
+        assert_eq!(walker_err.to_string(), decoder_err.to_string());
     }
 
     #[test]
@@ -725,8 +746,7 @@ mod tests {
     #[test]
     fn event_budget_matches_chunked_bytes_read() {
         // A trace spanning several 64 KiB chunks, stopped early by the
-        // event budget: `bytes_read` must reproduce the owned reader's
-        // chunk-granular refill accounting.
+        // event budget: `bytes_read` must keep its chunk granularity.
         let bytes = to_binary(&sample_trace(4_000));
         assert!(bytes.len() > 2 * CHUNK);
         for cap in [1u64, 25, 1000, 7999, 8000] {
@@ -752,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn classification_errors_match_owned_reader() {
+    fn classification_errors_name_both_formats() {
         let cases: &[&[u8]] = &[
             b"",
             b"\x7fELF\x02\x01\x01\0junk",
@@ -761,27 +781,24 @@ mod tests {
         ];
         for case in cases {
             for mode in [IngestMode::Strict, IngestMode::Salvage] {
-                let zc = zero_copy(case, mode, &IngestLimits::default())
+                let err = zero_copy(case, mode, &IngestLimits::default())
                     .map(|_| ())
                     .expect_err("classification error")
                     .to_string();
-                let owned = ingest_bytes(case, mode, &IngestLimits::default())
-                    .map(|_| ())
-                    .expect_err("classification error")
-                    .to_string();
-                assert_eq!(zc, owned);
+                assert!(err.contains("# pm-trace v1"), "{err}");
+                assert!(err.contains("PMTRACE2"), "{err}");
             }
         }
     }
 
     #[test]
-    fn text_inputs_route_to_the_owned_reader() {
+    fn text_inputs_classify_as_text() {
         let text = b"# pm-trace v1\nstore addr=0x0 size=8 tid=0\n";
         assert!(matches!(
             zero_copy(text, IngestMode::Strict, &IngestLimits::default()),
             Ok(ZeroCopy::Text)
         ));
-        // Headerless text is a salvage-only entry, like the owned reader.
+        // Headerless text is a salvage-only entry.
         let headerless = b"store addr=0x0 size=8 tid=0\n";
         assert!(matches!(
             zero_copy(headerless, IngestMode::Salvage, &IngestLimits::default()),

@@ -1,4 +1,6 @@
-//! Property-based tests for the v2 binary format and the salvage reader.
+//! Property-based tests for the v2 binary format and the salvage readers:
+//! [`pm_trace::ingest_bytes`] (the in-memory walker drained into a
+//! [`Trace`]) against the push-based [`StreamDecoder`].
 
 use std::time::Duration;
 
@@ -195,7 +197,7 @@ proptest! {
         prop_assert_eq!(&salvaged.events()[..floor], &trace.events()[..floor]);
     }
 
-    /// The push-based [`StreamDecoder`] is byte-identical to the batch
+    /// The push-based [`StreamDecoder`] is byte-identical to the in-memory
     /// reader on clean images, no matter how the input is chunked.
     #[test]
     fn stream_decoder_matches_batch_on_clean_images(
@@ -218,7 +220,7 @@ proptest! {
     }
 
     /// Salvage-mode stream decoding of corrupt images recovers exactly the
-    /// same events with the same accounting as the batch salvage reader,
+    /// same events with the same accounting as the in-memory salvage reader,
     /// under adversarial chunk splits (including 1-byte pushes).
     #[test]
     fn stream_decoder_matches_batch_salvage_on_mutated_images(
@@ -232,10 +234,10 @@ proptest! {
             apply_mutation(&mut bytes, mutation);
         }
         let limits = IngestLimits::default().with_max_events(10_000);
-        // Only compare where the batch reader takes the binary path at
-        // all: a destroyed header with no frame magic in the sniff window
-        // makes the batch reader refuse the input outright, while the
-        // push decoder (which is told the format up front) salvages it.
+        // Only compare where the in-memory reader takes the binary path
+        // at all: a destroyed header with no frame magic in the sniff
+        // window makes it refuse the input outright, while the push
+        // decoder (which is told the format up front) salvages it.
         let batch = match pm_trace::ingest_bytes(&bytes, IngestMode::Salvage, &limits) {
             Ok(r) => r,
             Err(_) => return Ok(()),
@@ -259,7 +261,7 @@ proptest! {
         );
     }
 
-    /// Event budgets bite identically in streaming and batch mode.
+    /// Event budgets bite identically in streaming and in-memory mode.
     #[test]
     fn stream_decoder_event_budget_matches_batch(
         events in proptest::collection::vec(any_event(), 2..60),

@@ -1,12 +1,13 @@
-//! Property-based byte-identity tests for the zero-copy ingest path.
+//! Property-based equivalence tests for the two v2 frame readers.
 //!
 //! The contract under test: [`pm_trace::zero_copy`]'s borrowed
-//! [`FrameWalker`] must be indistinguishable — same events, same
-//! [`IngestReport`] accounting, same errors — from both the owned batch
-//! reader ([`pm_trace::ingest_bytes`]) and the push-based
-//! [`StreamDecoder`], on clean images, under arbitrary chunking, and
-//! after single-bit-flip corruption. Wall-clock `elapsed` is the one
-//! field excluded from equality: it must merely be populated.
+//! [`FrameWalker`] (in-memory images) and the push-based
+//! [`StreamDecoder`] (chunks as they arrive) keep independent salvage
+//! state machines, yet must be indistinguishable — same events, same
+//! [`IngestReport`] accounting, same errors — on clean images, under
+//! arbitrary chunking, after single-bit-flip corruption and under event
+//! budgets. Wall-clock `elapsed` is the one field excluded from equality:
+//! it must merely be populated.
 
 use std::time::Duration;
 
@@ -132,7 +133,8 @@ fn assert_reports_identical(mut a: IngestReport, mut b: IngestReport) -> Result<
 }
 
 /// [`StreamDecoder`] drive loop with cycled chunk sizes, mirroring the
-/// one in `ingest_properties.rs`.
+/// one in `ingest_properties.rs`. A single chunk of `bytes.len()` pushes
+/// the whole buffer at once.
 fn stream_decode(
     bytes: &[u8],
     mode: IngestMode,
@@ -162,28 +164,34 @@ fn stream_decode(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// On clean images the borrowed walker is byte-identical to the owned
-    /// batch reader: same events, same full report.
+    /// On clean images the borrowed walker is byte-identical to the stream
+    /// decoder, fed the whole buffer at once or in arbitrary chunks: same
+    /// events, same full report.
     #[test]
-    fn walker_matches_batch_on_clean_images(
-        events in proptest::collection::vec(any_event(), 0..80)
+    fn walker_matches_decoder_on_clean_images(
+        events in proptest::collection::vec(any_event(), 0..80),
+        chunks in proptest::collection::vec(1usize..97, 1..8),
     ) {
         let trace: Trace = events.into_iter().collect();
         let bytes = pm_trace::to_binary(&trace);
         let limits = IngestLimits::default();
-        let (batch, batch_report) =
-            pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits).unwrap();
         let (walked, walk_report) = walk_all(&bytes, IngestMode::Strict, &limits).unwrap();
-        prop_assert_eq!(batch.events(), &walked[..]);
+        prop_assert_eq!(trace.events(), &walked[..]);
         prop_assert!(walk_report.clean());
-        assert_reports_identical(batch_report, walk_report)?;
+        for chunking in [&[bytes.len()][..], &chunks[..]] {
+            let (streamed, stream_report) =
+                stream_decode(&bytes, IngestMode::Strict, &limits, chunking).unwrap();
+            prop_assert_eq!(&streamed[..], &walked[..]);
+            assert_reports_identical(walk_report.clone(), stream_report)?;
+        }
     }
 
-    /// A single bit flip anywhere in the image leaves salvage-mode walker
-    /// and batch reader in exact agreement: same recovered events, same
-    /// resync/skip/salvage accounting, same recorded errors.
+    /// A single bit flip anywhere in the image leaves the salvage-mode
+    /// walker and the stream decoder (fed the whole buffer) in exact
+    /// agreement: same recovered events, same resync/skip/salvage
+    /// accounting, same recorded errors.
     #[test]
-    fn walker_matches_batch_salvage_on_flipped_images(
+    fn walker_matches_decoder_salvage_on_flipped_images(
         events in proptest::collection::vec(any_event(), 1..60),
         pos in any::<u64>(),
         bit in 0u32..8,
@@ -193,33 +201,26 @@ proptest! {
         let flip_at = (pos % bytes.len() as u64) as usize;
         bytes[flip_at] ^= 1 << bit;
         let limits = IngestLimits::default().with_max_events(10_000);
-        // Where a header flip makes the batch reader classify the input
-        // as text, the walker must agree — covered below — and there is
-        // no binary walk to compare.
-        let batch = match pm_trace::ingest_bytes(&bytes, IngestMode::Salvage, &limits) {
-            Ok(r) => r,
-            Err(_) => return Ok(()),
-        };
-        if batch.1.format != pm_trace::TraceFormat::BinV2 {
-            let classified =
-                pm_trace::zero_copy(&bytes, IngestMode::Salvage, &limits).unwrap();
-            prop_assert!(
-                matches!(classified, ZeroCopy::Text),
-                "walker must classify like the batch sniffer"
-            );
+        // A header flip can make the sniffer classify the input as text
+        // (or refuse it); then there is no binary walk to compare.
+        if !matches!(
+            pm_trace::zero_copy(&bytes, IngestMode::Salvage, &limits),
+            Ok(ZeroCopy::Binary(_))
+        ) {
             return Ok(());
         }
-        let (batch_trace, batch_report) = batch;
         let (walked, walk_report) = walk_all(&bytes, IngestMode::Salvage, &limits).unwrap();
-        prop_assert_eq!(batch_trace.events(), &walked[..]);
-        assert_reports_identical(batch_report, walk_report)?;
+        let (streamed, stream_report) =
+            stream_decode(&bytes, IngestMode::Salvage, &limits, &[bytes.len()]).unwrap();
+        prop_assert_eq!(&streamed[..], &walked[..]);
+        assert_reports_identical(walk_report, stream_report)?;
     }
 
-    /// Strict mode rejects a flipped image identically on both paths:
+    /// Strict mode rejects a flipped image identically on both readers:
     /// either both succeed (the flip landed in dead space) with equal
     /// output, or both fail with the same rendered error.
     #[test]
-    fn walker_matches_batch_strict_on_flipped_images(
+    fn walker_matches_decoder_strict_on_flipped_images(
         events in proptest::collection::vec(any_event(), 1..60),
         pos in any::<u64>(),
         bit in 0u32..8,
@@ -229,27 +230,34 @@ proptest! {
         let flip_at = (pos % bytes.len() as u64) as usize;
         bytes[flip_at] ^= 1 << bit;
         let limits = IngestLimits::default().with_max_events(10_000);
-        let batch = pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits);
+        // A damaged file header is refused by the sniffer before any walk;
+        // the decoder words that refusal for a stream, not a file.
+        if !matches!(
+            pm_trace::zero_copy(&bytes, IngestMode::Strict, &limits),
+            Ok(ZeroCopy::Binary(_))
+        ) {
+            return Ok(());
+        }
         let walked = walk_all(&bytes, IngestMode::Strict, &limits);
-        match (batch, walked) {
-            (Ok((batch_trace, batch_report)), Ok((events, walk_report))) => {
-                prop_assert_eq!(batch_trace.events(), &events[..]);
-                assert_reports_identical(batch_report, walk_report)?;
+        let streamed = stream_decode(&bytes, IngestMode::Strict, &limits, &[bytes.len()]);
+        match (walked, streamed) {
+            (Ok((events, walk_report)), Ok((streamed, stream_report))) => {
+                prop_assert_eq!(&streamed[..], &events[..]);
+                assert_reports_identical(walk_report, stream_report)?;
             }
-            (Err(be), Err(we)) => {
-                prop_assert_eq!(be.to_string(), we.to_string());
+            (Err(we), Err(se)) => {
+                prop_assert_eq!(we.to_string(), se.to_string());
             }
-            (batch, walked) => {
+            (walked, streamed) => {
                 return Err(TestCaseError::fail(format!(
-                    "paths diverged: batch={batch:?} walker={walked:?}"
+                    "readers diverged: walker={walked:?} decoder={streamed:?}"
                 )));
             }
         }
     }
 
     /// The walker also agrees with the push-based [`StreamDecoder`] under
-    /// arbitrary chunking of a flipped image: the three ingest paths form
-    /// one equivalence class.
+    /// arbitrary chunking of a flipped image.
     #[test]
     fn walker_matches_stream_decoder_under_chunking(
         events in proptest::collection::vec(any_event(), 1..50),
@@ -315,21 +323,25 @@ proptest! {
         }
     }
 
-    /// Event budgets truncate the walker exactly like the batch reader.
+    /// Event budgets truncate the walker exactly like the stream decoder,
+    /// whole-buffer or chunked.
     #[test]
-    fn walker_event_budget_matches_batch(
+    fn walker_event_budget_matches_decoder(
         events in proptest::collection::vec(any_event(), 2..60),
         cap in 1u64..30,
+        chunks in proptest::collection::vec(1usize..97, 1..6),
     ) {
         let trace: Trace = events.into_iter().collect();
         let bytes = pm_trace::to_binary(&trace);
         let limits = IngestLimits::default().with_max_events(cap);
-        let (batch, batch_report) =
-            pm_trace::ingest_bytes(&bytes, IngestMode::Salvage, &limits).unwrap();
         let (walked, walk_report) = walk_all(&bytes, IngestMode::Salvage, &limits).unwrap();
-        prop_assert_eq!(batch.events(), &walked[..]);
-        prop_assert_eq!(batch_report.truncated, walk_report.truncated);
-        assert_reports_identical(batch_report, walk_report)?;
+        for chunking in [&[bytes.len()][..], &chunks[..]] {
+            let (streamed, stream_report) =
+                stream_decode(&bytes, IngestMode::Salvage, &limits, chunking).unwrap();
+            prop_assert_eq!(&streamed[..], &walked[..]);
+            prop_assert_eq!(walk_report.truncated, stream_report.truncated);
+            assert_reports_identical(walk_report.clone(), stream_report)?;
+        }
     }
 
     /// `Cas` survives text-v1 round-trips bit-for-bit: trace → text →

@@ -19,12 +19,12 @@
 #   clock so the gate measures partition quality, not the CI host's core
 #   count (see crates/bench/benches/parallel_pipeline.rs).
 #
-# ingest — the ingest_throughput bench (owned reader vs zero-copy walker)
-#   in smoke mode vs scripts/ingest_baseline.json:
+# ingest — the ingest_throughput bench (stream decoder vs zero-copy
+#   walker) in smoke mode vs scripts/ingest_baseline.json:
 #
 #   * every workload must report identical=true (the walker's events,
-#     accounting and detection hash match the owned reader) — always a
-#     hard failure, never tolerance-gated
+#     accounting and detection hash match the stream decoder's) — always
+#     a hard failure, never tolerance-gated
 #   * every workload's report_hash must match the baseline: the smoke
 #     inputs are deterministic, so a drifting hash means the decoder or
 #     the detection rules changed without a baseline refresh
@@ -32,10 +32,9 @@
 #     speedup must be within 10% (minus the 0.12x absolute margin) of
 #     the baseline. The tiny fixture workloads decode in microseconds,
 #     where timer noise swamps any real regression — printed as info.
-#     Note the smoke-sized input is cache-resident and flatters the
-#     owned reader, so smoke speedups sit well below the committed
-#     full-size numbers in BENCH_ingest.json; the gate tracks the smoke
-#     baseline, it does not re-assert the full-size 2.5x floor.
+#     Note the smoke-sized input is cache-resident, unlike the
+#     full-size run committed as BENCH_ingest.json; the gate tracks the
+#     smoke baseline, it does not re-assert the full-size numbers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -165,7 +164,7 @@ for name, b in sorted(base.items()):
         failures.append(f"{name}: missing from fresh run")
         continue
     if not c["identical"]:
-        failures.append(f"{name}: zero-copy path diverged from the owned reader")
+        failures.append(f"{name}: zero-copy walker diverged from the stream decoder")
     if c["report_hash"] != b["report_hash"]:
         failures.append(
             f"{name}: report_hash {c['report_hash']} != baseline "

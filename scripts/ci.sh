@@ -23,8 +23,8 @@
 # bench-smoke regenerates the parallel-pipeline benchmark in smoke mode and
 #             gates on the committed baseline (scripts/bench_gate.sh)
 # ingest-bench
-#             regenerates the ingest-throughput benchmark (owned reader vs
-#             zero-copy walker) in smoke mode and gates on the committed
+#             regenerates the ingest-throughput benchmark (stream decoder
+#             vs zero-copy walker) in smoke mode and gates on the committed
 #             baseline (scripts/bench_gate.sh ingest): identical=true on
 #             every workload, stable report hashes, and the zero-copy
 #             speedup within tolerance of scripts/ingest_baseline.json
