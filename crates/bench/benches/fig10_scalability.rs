@@ -10,10 +10,10 @@
 //! PMDebugger grows much more slowly.
 
 use pm_baselines::PmemcheckLike;
-use pm_bench::{banner, threads_arg, TextTable};
+use pm_bench::{banner, TextTable};
 use pm_trace::{replay_finish, Detector};
 use pm_workloads::{memcached_multithread_trace, Memcached};
-use pmdebugger::{DebuggerConfig, ParallelPmDebugger, PersistencyModel, PmDebugger};
+use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 use std::time::Instant;
 
 fn main() {
@@ -26,22 +26,15 @@ fn main() {
     let ops_per_thread = if full { 40_000 } else { 10_000 };
     let workload = Memcached::default().with_set_percent(20);
     let repeats = 3;
-    // `cargo bench --bench fig10_scalability -- --threads 4` adds a column
-    // for PMDebugger behind the sharded parallel pipeline.
-    let detection_threads = threads_arg().filter(|&n| n > 1);
 
-    let mut header = vec![
+    let mut table = TextTable::new(vec![
         "threads",
         "events",
         "pmdebugger ms",
         "pmemcheck ms",
         "pmdebugger x",
         "pmemcheck x",
-    ];
-    if detection_threads.is_some() {
-        header.push("parallel ms");
-    }
-    let mut table = TextTable::new(header);
+    ]);
     let mut base: Option<(f64, f64)> = None; // per-event ns at 1 thread
 
     for &threads in &[1usize, 2, 4, 6] {
@@ -67,31 +60,18 @@ fn main() {
 
         let per_event = (t_pmd / events, t_pmc / events);
         let (b_pmd, b_pmc) = *base.get_or_insert(per_event);
-        let mut row = vec![
+        table.row(vec![
             threads.to_string(),
             format!("{}", trace.len()),
             format!("{:.1}", t_pmd * 1e3),
             format!("{:.1}", t_pmc * 1e3),
             format!("{:.2}", per_event.0 / b_pmd),
             format!("{:.2}", per_event.1 / b_pmc),
-        ];
-        if let Some(n) = detection_threads {
-            let t_par = time_one(&|| {
-                Box::new(ParallelPmDebugger::with_threads(
-                    DebuggerConfig::for_model(PersistencyModel::Strict),
-                    n,
-                ))
-            });
-            row.push(format!("{:.1}", t_par * 1e3));
-        }
-        table.row(row);
+        ]);
     }
 
     print!("{}", table.render());
     println!("(x columns: per-event cost normalized to the 1-thread run)");
-    if let Some(n) = detection_threads {
-        println!("(parallel ms: PMDebugger sharded across {n} detection worker threads)");
-    }
     println!("paper shape: Pmemcheck's cost grows with thread count much faster than");
     println!("PMDebugger's (interleaving from more threads keeps more locations live,");
     println!("which tree-only bookkeeping pays for on every operation)");

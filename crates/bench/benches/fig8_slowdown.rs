@@ -11,7 +11,7 @@
 //! hashmap_tx); 4.67x on memcached; 2.1x on redis; speedups grow when
 //! instrumentation time is excluded.
 
-use pm_bench::{banner, slowdown, threads_arg, time_tool, time_tool_parallel, TextTable, ToolKind};
+use pm_bench::{banner, slowdown, time_tool, TextTable, ToolKind};
 use pm_workloads::{
     BTree, CTree, HashmapAtomic, HashmapTx, Memcached, RTree, RbTree, Redis, SynthStrand, Workload,
 };
@@ -23,9 +23,6 @@ fn main() {
     );
 
     let full = std::env::var_os("PM_BENCH_FULL").is_some();
-    // `cargo bench --bench fig8_slowdown -- --threads 4` adds a column for
-    // PMDebugger behind the sharded parallel pipeline.
-    let threads = threads_arg().filter(|&n| n > 1);
     let micro_sizes: &[usize] = if full {
         &[1_000, 10_000, 100_000]
     } else {
@@ -52,7 +49,7 @@ fn main() {
         Box::new(Redis::default()),
     ];
 
-    let mut header = vec![
+    let mut table = TextTable::new(vec![
         "benchmark",
         "ops",
         "nulgrind x",
@@ -60,11 +57,7 @@ fn main() {
         "pmemcheck x",
         "speedup w/",
         "speedup w/o",
-    ];
-    if threads.is_some() {
-        header.push("parallel x");
-    }
-    let mut table = TextTable::new(header);
+    ]);
     let mut speedups_with = Vec::new();
     let mut speedups_without = Vec::new();
 
@@ -81,7 +74,7 @@ fn main() {
                 / (t_pmd.saturating_sub(t_nul)).as_secs_f64().max(1e-9);
             speedups_with.push(with_instr);
             speedups_without.push(wo_instr);
-            let mut row = vec![
+            table.row(vec![
                 workload.name().to_owned(),
                 ops.to_string(),
                 format!("{:.2}", slowdown(t_nul, t_plain)),
@@ -89,12 +82,7 @@ fn main() {
                 format!("{:.2}", slowdown(t_pmc, t_plain)),
                 format!("{with_instr:.2}x"),
                 format!("{wo_instr:.2}x"),
-            ];
-            if let Some(n) = threads {
-                let t_par = time_tool_parallel(workload, ops, n, repeats);
-                row.push(format!("{:.2}", slowdown(t_par, t_plain)));
-            }
-            table.row(row);
+            ]);
         }
     };
 
@@ -106,9 +94,6 @@ fn main() {
     }
 
     print!("{}", table.render());
-    if let Some(n) = threads {
-        println!("(parallel x: PMDebugger sharded across {n} worker threads)");
-    }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     println!(
         "\naverage PMDebugger speedup over Pmemcheck: {:.2}x with instrumentation, {:.2}x without",

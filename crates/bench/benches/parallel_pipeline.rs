@@ -1,26 +1,22 @@
 //! Parallel sharded pipeline — throughput, scaling and report equivalence.
 //!
-//! Replays Figure 10's multi-threaded memcached traces (plus one
-//! single-stream hashmap workload as a low-component contrast) through the
-//! parallel pipeline at 1/2/4/8 detection threads and emits
-//! `BENCH_parallel.json`; `scripts/bench_gate.sh` compares it against the
-//! committed baseline.
+//! Replays Figure 10's multi-threaded memcached traces, one single-stream
+//! hashmap workload (a low-component contrast) and a strict B-tree run
+//! (the workload that actually produces reports) through the parallel
+//! pipeline at 1/2/4/8 detection threads and emits `BENCH_parallel.json`;
+//! `scripts/bench_gate.sh` compares it against the committed baseline.
 //!
-//! Two timings are recorded per configuration:
+//! Every number is wall clock of the threaded [`detect_parallel`] run on
+//! this machine (best of the repeats): `speedup` is the 1-thread time over
+//! the N-thread time. The JSON records `cores` and each workload's plan
+//! `components`, so a reader (and the gate) can tell which rows a
+//! measurement can show a speedup for: with more threads than cores the
+//! workers time-slice, and with fewer components than threads some
+//! workers have nothing to do.
 //!
-//! * `wall_ms` — the threaded [`detect_parallel`] run as-is. Only
-//!   meaningful on a machine with at least as many free cores as worker
-//!   threads; on a single-core CI container all workers time-slice one
-//!   CPU and wall clock cannot show a speedup.
-//! * `critical_ms` — the per-stage profile ([`profile_parallel`]): serial
-//!   phases plus the slowest key chunk and slowest detection worker. This
-//!   is the span an unloaded N-core execution converges to, and is the
-//!   number the `speedup` column and the CI gate use, so the gate checks
-//!   partition quality (balance, serial fraction, broadcast duplication)
-//!   rather than the CI host's core count.
-//!
-//! Report equivalence (`equivalent`) is asserted from the real threaded
-//! runs: every thread count must produce the sequential report hash.
+//! Report equivalence (`equivalent`) is asserted from the same runs: every
+//! thread count must produce the sequential report hash. The `b_tree`
+//! workload must report bugs, so the hash compares non-empty lists.
 //!
 //! Env knobs: `PM_BENCH_SMOKE` shrinks inputs for the CI smoke stage,
 //! `PM_BENCH_FULL` grows them; `PM_BENCH_JSON` overrides the output path.
@@ -29,17 +25,14 @@ use std::time::Instant;
 
 use pm_bench::{banner, TextTable};
 use pm_trace::{report_hash, Trace};
-use pm_workloads::{memcached_multithread_trace, record_trace, HashmapAtomic, Memcached};
-use pmdebugger::{
-    detect_parallel, profile_parallel, DebuggerConfig, ParallelConfig, PersistencyModel,
-};
+use pm_workloads::{memcached_multithread_trace, record_trace, BTree, HashmapAtomic, Memcached};
+use pmdebugger::{detect_parallel, DebuggerConfig, ParallelConfig, PersistencyModel};
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
 
 struct Row {
     threads: usize,
     wall_ms: f64,
-    critical_ms: f64,
     events_per_sec: f64,
     speedup: f64,
 }
@@ -48,6 +41,7 @@ struct WorkloadResult {
     name: &'static str,
     events: usize,
     components: usize,
+    reports: usize,
     report_hash: u64,
     equivalent: bool,
     rows: Vec<Row>,
@@ -62,8 +56,9 @@ fn measure(
     let config = DebuggerConfig::for_model(model);
     let events = trace.len();
     let mut rows = Vec::new();
-    let mut base_ms = 0.0;
+    let mut base_secs = 0.0;
     let mut base_hash = 0u64;
+    let mut reports = 0;
     let mut equivalent = true;
     let mut components = 0;
 
@@ -80,20 +75,10 @@ fn measure(
         let outcome = outcome.expect("at least one repeat");
         let hash = report_hash(&outcome.reports);
 
-        let critical = if threads == 1 {
-            wall_best
-        } else {
-            let mut best = f64::MAX;
-            for _ in 0..repeats {
-                let profile = profile_parallel(&config, &par, trace);
-                best = best.min(profile.critical_path_secs());
-            }
-            best
-        };
-
         if threads == 1 {
-            base_ms = wall_best;
+            base_secs = wall_best;
             base_hash = hash;
+            reports = outcome.reports.len();
         } else {
             equivalent &= hash == base_hash;
             components = outcome.components;
@@ -101,9 +86,8 @@ fn measure(
         rows.push(Row {
             threads,
             wall_ms: wall_best * 1e3,
-            critical_ms: critical * 1e3,
-            events_per_sec: events as f64 / critical.max(1e-9),
-            speedup: base_ms / critical.max(1e-9),
+            events_per_sec: events as f64 / wall_best.max(1e-9),
+            speedup: base_secs / wall_best.max(1e-9),
         });
     }
 
@@ -111,16 +95,16 @@ fn measure(
         name,
         events,
         components,
+        reports,
         report_hash: base_hash,
         equivalent,
         rows,
     }
 }
 
-fn to_json(results: &[WorkloadResult], smoke: bool) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let mut out = String::from("{\"schema\":\"pmdebugger-parallel-bench-v2\"");
-    out.push_str(&format!(",\"mode\":\"critical-path\",\"cores\":{cores}"));
+fn to_json(results: &[WorkloadResult], cores: usize, smoke: bool) -> String {
+    let mut out = String::from("{\"schema\":\"pmdebugger-parallel-bench-v3\"");
+    out.push_str(&format!(",\"mode\":\"wall\",\"cores\":{cores}"));
     out.push_str(&format!(",\"smoke\":{smoke}"));
     out.push_str(",\"workloads\":[");
     for (i, r) in results.iter().enumerate() {
@@ -128,18 +112,18 @@ fn to_json(results: &[WorkloadResult], smoke: bool) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"events\":{},\"components\":{},\
+            "{{\"name\":\"{}\",\"events\":{},\"components\":{},\"reports\":{},\
              \"report_hash\":\"{:#018x}\",\"equivalent\":{},\"rows\":[",
-            r.name, r.events, r.components, r.report_hash, r.equivalent
+            r.name, r.events, r.components, r.reports, r.report_hash, r.equivalent
         ));
         for (j, row) in r.rows.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"threads\":{},\"wall_ms\":{:.3},\"critical_ms\":{:.3},\
+                "{{\"threads\":{},\"wall_ms\":{:.3},\
                  \"events_per_sec\":{:.0},\"speedup\":{:.3}}}",
-                row.threads, row.wall_ms, row.critical_ms, row.events_per_sec, row.speedup
+                row.threads, row.wall_ms, row.events_per_sec, row.speedup
             ));
         }
         out.push_str("]}");
@@ -156,8 +140,6 @@ fn main() {
 
     let smoke = std::env::var_os("PM_BENCH_SMOKE").is_some();
     let full = std::env::var_os("PM_BENCH_FULL").is_some();
-    // Smoke keeps inputs small but takes best-of-5 so critical-path stage
-    // timings (sub-ms at this size) stay stable enough for the ±10% gate.
     let (mc_ops, hm_ops, repeats) = if smoke {
         (5_000, 40_000, 5)
     } else if full {
@@ -170,15 +152,18 @@ fn main() {
     let mc4 = memcached_multithread_trace(&memcached, 4, mc_ops, 8);
     let mc6 = memcached_multithread_trace(&memcached, 6, mc_ops, 8);
     let hashmap = record_trace(&HashmapAtomic::default(), hm_ops);
+    let btree = record_trace(&BTree::default(), 1_000);
 
     let results = vec![
         measure("memcached_mt4", PersistencyModel::Strict, &mc4, repeats),
         measure("memcached_mt6", PersistencyModel::Strict, &mc6, repeats),
         measure("hashmap_atomic", PersistencyModel::Epoch, &hashmap, repeats),
+        measure("b_tree", PersistencyModel::Strict, &btree, repeats),
     ];
 
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut table = TextTable::new(vec![
-        "workload", "events", "threads", "wall ms", "crit ms", "Mev/s", "speedup", "equal",
+        "workload", "events", "threads", "wall ms", "Mev/s", "speedup", "equal",
     ]);
     for r in &results {
         for row in &r.rows {
@@ -187,7 +172,6 @@ fn main() {
                 r.events.to_string(),
                 row.threads.to_string(),
                 format!("{:.1}", row.wall_ms),
-                format!("{:.1}", row.critical_ms),
                 format!("{:.2}", row.events_per_sec / 1e6),
                 format!("{:.2}x", row.speedup),
                 if r.equivalent { "yes" } else { "NO" }.to_owned(),
@@ -195,10 +179,10 @@ fn main() {
         }
     }
     print!("{}", table.render());
-    println!("speedup = sequential / critical path (see bench header docs)");
+    println!("speedup = 1-thread wall / N-thread wall, measured on {cores} cores");
 
     let path = std::env::var("PM_BENCH_JSON").unwrap_or_else(|_| "BENCH_parallel.json".to_owned());
-    let json = to_json(&results, smoke);
+    let json = to_json(&results, cores, smoke);
     std::fs::write(&path, format!("{json}\n")).expect("write bench JSON");
     println!("wrote {path}");
 
@@ -208,5 +192,11 @@ fn main() {
             "{}: parallel reports diverged from sequential",
             r.name
         );
+        if r.name == "b_tree" {
+            assert!(
+                r.reports > 0,
+                "b_tree: the sequential run reported nothing, so equivalence is vacuous"
+            );
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use pm_baselines::{Nulgrind, PmemcheckLike, PmtestLike, XfdetectorLike};
 use pm_trace::{replay_finish, Detector, OrderSpec, PmRuntime, Trace};
 use pm_workloads::Workload;
-use pmdebugger::{DebuggerConfig, ParallelPmDebugger, PersistencyModel, PmDebugger, MAX_THREADS};
+use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
 /// The tool configurations benchmarks compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,54 +76,6 @@ pub fn time_tool(workload: &dyn Workload, ops: usize, tool: ToolKind, repeats: u
         if let Some(detector) = make_detector(tool, model) {
             rt.attach(detector);
         }
-        let start = Instant::now();
-        workload.run(&mut rt, ops).expect("trace-only run");
-        let _ = rt.finish();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    best
-}
-
-/// Parses `--threads <n>` from the bench binary's own argv (`cargo bench
-/// -- --threads 4` forwards everything after the second `--`). Returns
-/// `None` when absent; panics with a usage message on a malformed value so
-/// a typo'd bench run fails loudly instead of silently measuring the
-/// sequential engine.
-pub fn threads_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let position = args.iter().position(|a| a == "--threads")?;
-    let value = args
-        .get(position + 1)
-        .unwrap_or_else(|| panic!("--threads expects a value"));
-    let threads: usize = value
-        .parse()
-        .unwrap_or_else(|_| panic!("--threads expects a number, got `{value}`"));
-    assert!(
-        (1..=MAX_THREADS).contains(&threads),
-        "--threads must be between 1 and {MAX_THREADS}"
-    );
-    Some(threads)
-}
-
-/// Like [`time_tool`] for PMDebugger behind the sharded parallel pipeline
-/// with `threads` workers (best of `repeats`).
-pub fn time_tool_parallel(
-    workload: &dyn Workload,
-    ops: usize,
-    threads: usize,
-    repeats: usize,
-) -> Duration {
-    let model = persistency_of(workload);
-    let mut best = Duration::MAX;
-    for _ in 0..repeats.max(1) {
-        let mut rt = PmRuntime::trace_only();
-        rt.attach(Box::new(ParallelPmDebugger::with_threads(
-            DebuggerConfig::for_model(model),
-            threads,
-        )));
         let start = Instant::now();
         workload.run(&mut rt, ops).expect("trace-only run");
         let _ = rt.finish();
@@ -234,13 +186,6 @@ mod tests {
     fn timing_produces_positive_durations() {
         let workload = BTree::default();
         let t = time_tool(&workload, 50, ToolKind::PmDebugger, 1);
-        assert!(t > Duration::ZERO);
-    }
-
-    #[test]
-    fn parallel_timing_produces_positive_durations() {
-        let workload = BTree::default();
-        let t = time_tool_parallel(&workload, 50, 2, 1);
         assert!(t > Duration::ZERO);
     }
 

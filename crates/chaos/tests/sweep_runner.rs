@@ -294,28 +294,35 @@ fn daemon_crash_replays_a_sampled_plan() {
 
 #[test]
 fn mem_pressure_replays_a_sampled_plan() {
-    let report = full_run_then_replay(|| MemPressureSweep, 0xC0FF_EE00, 14, 7);
-    assert_eq!(report.tally("verdict_divergence"), 0);
-    let spilling = report.mix("whale") + report.mix("spill_storm");
-    assert!(spilling > 0, "{}", report.to_json());
-    assert!(
-        report.tally("spills_total") > 0,
-        "whales must spill: {}",
-        report.to_json()
-    );
+    // Debug run time on a 2-vCPU host: 7.6 s for all 100 plans.
+    let seed = MemPressureSweep::DEFAULT_SEED;
+    let report = full_run_then_replay(|| MemPressureSweep, seed, 100, 43);
+    for (key, expected) in [
+        ("sessions_total", 295),
+        ("ok_sessions", 265),
+        ("memory_sheds", 84),
+        ("rejections_total", 84),
+        ("spills_total", 106),
+        ("rehydrations_total", 106),
+        ("verdict_divergence", 0),
+    ] {
+        assert_eq!(report.tally(key), expected, "{key}: {}", report.to_json());
+    }
+    for (kind, expected) in [
+        ("whale", 20),
+        ("many_small", 22),
+        ("spill_storm", 25),
+        ("reject_storm", 18),
+        ("budget_reject", 15),
+    ] {
+        assert_eq!(report.mix(kind), expected, "{kind}: {}", report.to_json());
+    }
     assert_eq!(
         report.tally("spills_total"),
         report.tally("rehydrations_total")
     );
     let json = report.to_json();
-    for key in [
-        "sessions_total",
-        "ok_sessions",
-        "memory_sheds",
-        "rejections_total",
-        "pauses_total",
-        "pause_ms_total",
-    ] {
+    for key in ["pauses_total", "pause_ms_total"] {
         assert!(
             json.contains(&format!("\"{key}\":")),
             "missing {key}: {json}"

@@ -71,8 +71,8 @@ pub use govern::{
 pub use interval::{IntervalList, IntervalMeta, IntervalState};
 pub use order::{CrossThreadTracker, OrderTracker};
 pub use parallel::{
-    detect_parallel, detect_parallel_from, profile_parallel, ParallelConfig, ParallelOutcome,
-    ParallelPmDebugger, PipelineProfile, MAX_THREADS,
+    detect_parallel, detect_parallel_from, ParallelConfig, ParallelOutcome, ParallelPmDebugger,
+    MAX_THREADS,
 };
 pub use rules::{CasContentionRule, EpochSizeRule, FailureWindowRule, FlushAmplificationRule};
 pub use session::{DetectSession, SessionCheckpoint};

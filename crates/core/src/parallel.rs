@@ -36,7 +36,6 @@
 //! `crates/core/tests/parallel_determinism.rs`.
 
 use std::thread;
-use std::time::Instant;
 
 use pm_obs::{MetricsRegistry, MetricsSnapshot};
 use pm_trace::{
@@ -205,9 +204,9 @@ fn detect_inline(config: &DebuggerConfig, events: &[PmEvent], base_seq: u64) -> 
 
 /// One worker's pass behind a [`ShardGuard`]: scan the shared key array,
 /// detect over own and broadcast events, firing injected faults and
-/// checking the deadline and event/memory budgets as it goes. With
-/// [`ShardGuard::none`] the per-event overhead is one increment and a few
-/// always-false branches.
+/// checking the deadline and event/memory budgets as it goes. With no
+/// fault or limit configured the per-event overhead is one increment and
+/// a few always-false branches.
 pub(crate) fn run_worker_guarded(
     config: &DebuggerConfig,
     plan: &ShardPlan,
@@ -246,21 +245,6 @@ pub(crate) fn run_worker_guarded(
         malformed,
         metrics: kind_counts_snapshot(&kind_counts),
     })
-}
-
-/// Unguarded worker pass for the profiler; a [`ShardGuard::none`] guard
-/// never trips, so the scan cannot fail.
-fn run_worker(
-    config: &DebuggerConfig,
-    plan: &ShardPlan,
-    events: &[PmEvent],
-    base_seq: u64,
-    me: u32,
-) -> WorkerOut {
-    match run_worker_guarded(config, plan, events, base_seq, me, ShardGuard::none()) {
-        Ok(out) => out,
-        Err(failure) => unreachable!("unguarded shard scan reported {failure}"),
-    }
 }
 
 /// Reassembles the sequential report list from the outputs of the workers
@@ -323,21 +307,6 @@ pub(crate) fn merge_survivors(
         worker_metrics,
         metrics,
     }
-}
-
-/// Full-complement merge (every worker present, in order).
-fn merge_outputs(
-    results: Vec<WorkerOut>,
-    plan: &ShardPlan,
-    events_len: usize,
-    threads: usize,
-) -> ParallelOutcome {
-    merge_survivors(
-        results.into_iter().enumerate().collect(),
-        plan,
-        events_len,
-        threads,
-    )
 }
 
 /// Plan build with the key pass fanned out over `threads` chunk workers.
@@ -406,120 +375,6 @@ pub fn detect_parallel_from(
         // shard error); the engine is deterministic, so fall back to the
         // sequential path rather than guessing at a plan.
         Err(_) => detect_inline(config, events, base_seq),
-    }
-}
-
-/// Per-stage timings of one pipeline run, measured with every stage
-/// executed serially on the calling thread.
-///
-/// Wall-clock timing of the threaded pipeline conflates the algorithm with
-/// the machine: on a single-core container (the common CI case) N worker
-/// threads time-slice one CPU and can never show a speedup, no matter how
-/// well the work partitions. This profile instead measures each stage in
-/// isolation — the serial observe/assign phases once, every key chunk and
-/// every worker separately — so [`PipelineProfile::critical_path_secs`]
-/// reconstructs the span an N-core execution would take: serial phases
-/// plus the *slowest* chunk and the *slowest* worker. On an unloaded
-/// N-core machine, wall clock approaches this span; on fewer cores, this
-/// is the number that still reflects partition quality (balance, serial
-/// fraction, broadcast duplication).
-#[derive(Debug, Clone)]
-pub struct PipelineProfile {
-    /// Worker threads the pipeline was planned for.
-    pub threads: usize,
-    /// Events in the stream.
-    pub events: usize,
-    /// One full sequential run (the baseline detector, no planning).
-    pub sequential_secs: f64,
-    /// Observe pass: bridge components over the full stream (serial).
-    pub observe_secs: f64,
-    /// Key pass, per chunk (parallel in the real pipeline).
-    pub key_chunk_secs: Vec<f64>,
-    /// Count merge + greedy worker assignment (serial).
-    pub assign_secs: f64,
-    /// Detection, per worker (parallel in the real pipeline).
-    pub worker_secs: Vec<f64>,
-    /// Report merge and canonical sort (serial).
-    pub merge_secs: f64,
-    /// The merged outcome (byte-identical to the sequential run).
-    pub outcome: ParallelOutcome,
-}
-
-impl PipelineProfile {
-    /// The span of an ideal `threads`-core execution: serial stages plus
-    /// the slowest key chunk and the slowest detection worker.
-    pub fn critical_path_secs(&self) -> f64 {
-        let max = |xs: &[f64]| xs.iter().cloned().fold(0.0, f64::max);
-        self.observe_secs
-            + max(&self.key_chunk_secs)
-            + self.assign_secs
-            + max(&self.worker_secs)
-            + self.merge_secs
-    }
-
-    /// Sequential time over the critical path: the speedup an unloaded
-    /// `threads`-core machine converges to.
-    pub fn modeled_speedup(&self) -> f64 {
-        self.sequential_secs / self.critical_path_secs().max(1e-12)
-    }
-}
-
-/// Profiles one parallel detection run stage by stage (see
-/// [`PipelineProfile`]). Every stage runs serially on the calling thread;
-/// the returned outcome is byte-identical to [`detect_parallel`]'s.
-pub fn profile_parallel(
-    config: &DebuggerConfig,
-    par: &ParallelConfig,
-    trace: &Trace,
-) -> PipelineProfile {
-    let events = trace.events();
-    let threads = par.threads.clamp(1, MAX_THREADS);
-
-    let t = Instant::now();
-    let seq = detect_inline(config, events, 0);
-    let sequential_secs = t.elapsed().as_secs_f64();
-    drop(seq);
-
-    let pin_named = !config.order_spec.is_empty();
-    let t = Instant::now();
-    let builder = PlanBuilder::observe(events, threads, pin_named);
-    let observe_secs = t.elapsed().as_secs_f64();
-
-    let size = events.len().div_ceil(threads).max(1);
-    let mut key_chunk_secs = Vec::new();
-    let mut chunks = Vec::new();
-    for chunk in events.chunks(size) {
-        let t = Instant::now();
-        chunks.push(builder.key_chunk(chunk));
-        key_chunk_secs.push(t.elapsed().as_secs_f64());
-    }
-
-    let t = Instant::now();
-    let plan = builder.finish(chunks);
-    let assign_secs = t.elapsed().as_secs_f64();
-
-    let mut worker_secs = Vec::new();
-    let mut results = Vec::new();
-    for me in 0..threads as u32 {
-        let t = Instant::now();
-        results.push(run_worker(config, &plan, events, 0, me));
-        worker_secs.push(t.elapsed().as_secs_f64());
-    }
-
-    let t = Instant::now();
-    let outcome = merge_outputs(results, &plan, events.len(), threads);
-    let merge_secs = t.elapsed().as_secs_f64();
-
-    PipelineProfile {
-        threads,
-        events: events.len(),
-        sequential_secs,
-        observe_secs,
-        key_chunk_secs,
-        assign_secs,
-        worker_secs,
-        merge_secs,
-        outcome,
     }
 }
 

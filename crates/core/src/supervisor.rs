@@ -574,21 +574,6 @@ impl ShardGuard {
         }
     }
 
-    /// A guard that never trips (the unsupervised path).
-    pub(crate) fn none() -> ShardGuard {
-        ShardGuard {
-            fault: None,
-            fired: true,
-            deadline: None,
-            max_events: None,
-            max_bytes: None,
-            start: Instant::now(),
-            virtual_delay: Duration::ZERO,
-            injected_bytes: 0,
-            consumed: 0,
-        }
-    }
-
     /// Called by the worker loop before consuming each event. The checks
     /// are branch-cheap when no limits are configured (the common path);
     /// the clock and the bookkeeping estimate are sampled every 64 events.

@@ -21,7 +21,11 @@
 # docs        doc tests (asserting pm-obs contributes documented examples),
 #             then rustdoc with warnings as errors
 # bench-smoke regenerates the parallel-pipeline benchmark in smoke mode and
-#             gates on the committed baseline (scripts/bench_gate.sh)
+#             gates on the committed baseline (scripts/bench_gate.sh):
+#             report-equivalent and baseline report hashes on every
+#             workload, and a measured wall-clock speedup of at least
+#             1.0x on rows whose threads fit both the host's cores and
+#             the workload's plan components
 # ingest-bench
 #             regenerates the ingest-throughput benchmark (stream decoder
 #             vs zero-copy walker) in smoke mode and gates on the committed
