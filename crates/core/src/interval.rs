@@ -157,6 +157,20 @@ impl IntervalList {
         out
     }
 
+    /// Intervals that stored to any line of `[addr, addr+len)`, unordered
+    /// and possibly repeated: the allocation-free form of
+    /// [`candidates`](Self::candidates) for existence checks.
+    pub(crate) fn line_candidates(
+        &self,
+        addr: Addr,
+        len: u64,
+    ) -> impl Iterator<Item = &IntervalMeta> {
+        pmem_sim::lines_covering(addr, len as usize)
+            .filter_map(|line| self.line_map.get(&line))
+            .flatten()
+            .map(|&i| &self.intervals[i])
+    }
+
     /// Closes the current interval: the next store starts a new one.
     /// Called when processing a CLF (§4.3: "PMDebugger starts a new CLF
     /// interval").

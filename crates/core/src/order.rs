@@ -15,7 +15,9 @@
 //!   order within a strand), and the report carries the strand that issued
 //!   the offending flush.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use pm_trace::events::ranges_overlap;
 use pm_trace::{Addr, BugKind, BugReport, OrderSpec, StrandId, ThreadId, CAS_PUBLISH_WINDOW};
@@ -381,12 +383,31 @@ struct PendingStore {
 /// behaves identically under sequential, sharded-parallel, supervised and
 /// streaming execution: a CAS and every store its window can probe always
 /// share a shard (the planner links them), and fences are broadcast.
+///
+/// No operation walks the whole pending set: a flush or CAS visits only
+/// the keys whose range can overlap its own (bounded below by the largest
+/// pending size), and a fence visits only the keys its thread flushed.
 #[derive(Debug, Clone, Default)]
 pub struct CrossThreadTracker {
     /// Fence epoch per thread: incremented at each of the thread's fences.
     fence_epochs: BTreeMap<ThreadId, u64>,
     /// Stores (keyed by exact range) that are not yet durably ordered.
     pending: BTreeMap<(Addr, u64), PendingStore>,
+    /// At least the size of every pending store: a store overlapping
+    /// `[addr, ..)` starts no lower than `addr - max_size`. A running
+    /// maximum, reset when `pending` empties.
+    max_size: u64,
+    /// Per thread, the keys its flushes marked since its last fence: every
+    /// pending entry whose `flushed_by` thread is `t` is listed under `t`.
+    /// A key re-stored after the mark stays listed until `t`'s fence,
+    /// which skips it unless `t` flushed it again.
+    flushed: BTreeMap<ThreadId, Vec<(Addr, u64)>>,
+}
+
+/// The pending keys a probe of `[addr, addr+len)` must visit: every store
+/// that overlaps it starts in `[addr - max_size, addr + len)`.
+fn probe_keys(addr: Addr, len: u64, max_size: u64) -> Range<(Addr, u64)> {
+    (addr.saturating_sub(max_size), 0)..(addr.saturating_add(len), 0)
 }
 
 impl CrossThreadTracker {
@@ -412,6 +433,7 @@ impl CrossThreadTracker {
 
     /// Observes a store: it is now visible-when-published and not durable.
     pub fn on_store(&mut self, seq: u64, addr: Addr, size: u64, tid: ThreadId) {
+        self.max_size = self.max_size.max(size);
         self.pending.insert(
             (addr, size),
             PendingStore {
@@ -427,9 +449,11 @@ impl CrossThreadTracker {
     /// stores now await `tid`'s next fence.
     pub fn on_flush(&mut self, addr: Addr, len: u64, tid: ThreadId) {
         let epoch = self.epoch(tid);
-        for (&(sa, sl), entry) in self.pending.iter_mut() {
+        let flushed = self.flushed.entry(tid).or_default();
+        for (&(sa, sl), entry) in self.pending.range_mut(probe_keys(addr, len, self.max_size)) {
             if entry.flushed_by.is_none() && ranges_overlap(sa, sl, addr, len) {
                 entry.flushed_by = Some((tid, epoch));
+                flushed.push((sa, sl));
             }
         }
     }
@@ -439,8 +463,19 @@ impl CrossThreadTracker {
     /// untouched — that asymmetry is exactly what the rules detect.
     pub fn on_fence(&mut self, tid: ThreadId) {
         *self.fence_epochs.entry(tid).or_insert(0) += 1;
-        self.pending
-            .retain(|_, entry| entry.flushed_by.map(|(t, _)| t) != Some(tid));
+        let Some(flushed) = self.flushed.get_mut(&tid) else {
+            return;
+        };
+        for key in flushed.drain(..) {
+            if let Entry::Occupied(entry) = self.pending.entry(key) {
+                if entry.get().flushed_by.map(|(t, _)| t) == Some(tid) {
+                    entry.remove();
+                }
+            }
+        }
+        if self.pending.is_empty() {
+            self.max_size = 0;
+        }
     }
 
     /// Observes a CAS by `tid` at stream position `seq`. On success, probes
@@ -460,7 +495,8 @@ impl CrossThreadTracker {
             return Vec::new();
         }
         let mut reports = Vec::new();
-        for (&(sa, sl), entry) in self.pending.iter_mut() {
+        let window = probe_keys(new, CAS_PUBLISH_WINDOW, self.max_size);
+        for (&(sa, sl), entry) in self.pending.range_mut(window) {
             if entry.reported
                 || entry.store_seq == seq
                 || !ranges_overlap(sa, sl, new, CAS_PUBLISH_WINDOW)
@@ -517,15 +553,17 @@ impl CrossThreadTracker {
         }
     }
 
+    /// Decodes what [`encode_into`](Self::encode_into) wrote; the size
+    /// bound and the per-thread flush lists are rebuilt from the pending
+    /// set.
     pub(crate) fn decode_from(r: &mut CkptReader) -> Result<Self, CheckpointDecodeError> {
         let epoch_count = r.count()?;
-        let mut fence_epochs = BTreeMap::new();
+        let mut tracker = CrossThreadTracker::new();
         for _ in 0..epoch_count {
             let tid = ThreadId(r.varint()? as u32);
-            fence_epochs.insert(tid, r.varint()?);
+            tracker.fence_epochs.insert(tid, r.varint()?);
         }
         let pending_count = r.count()?;
-        let mut pending = BTreeMap::new();
         for _ in 0..pending_count {
             let key = (r.varint()?, r.varint()?);
             let store_tid = ThreadId(r.varint()? as u32);
@@ -536,7 +574,11 @@ impl CrossThreadTracker {
                 b => return Err(ckpt::corrupt(format!("invalid flushed-by tag {b:#04x}"))),
             };
             let reported = r.bool()?;
-            pending.insert(
+            tracker.max_size = tracker.max_size.max(key.1);
+            if let Some((flusher, _)) = flushed_by {
+                tracker.flushed.entry(flusher).or_default().push(key);
+            }
+            tracker.pending.insert(
                 key,
                 PendingStore {
                     store_tid,
@@ -546,16 +588,14 @@ impl CrossThreadTracker {
                 },
             );
         }
-        Ok(CrossThreadTracker {
-            fence_epochs,
-            pending,
-        })
+        Ok(tracker)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(first: &str, second: &str) -> OrderSpec {
         let mut s = OrderSpec::new();
@@ -773,5 +813,271 @@ mod tests {
         assert!(t
             .on_cas(2, 0x40, 8, B, 0x1000 - CAS_PUBLISH_WINDOW, true)
             .is_empty());
+    }
+
+    /// The full-scan tracker the indexed [`CrossThreadTracker`] replaced,
+    /// kept verbatim as the differential oracle: every flush and CAS scans
+    /// the whole pending map and every fence `retain`s over it.
+    #[derive(Debug, Clone, Default)]
+    struct ReferenceTracker {
+        /// Fence epoch per thread: incremented at each of the thread's fences.
+        fence_epochs: BTreeMap<ThreadId, u64>,
+        /// Stores (keyed by exact range) that are not yet durably ordered.
+        pending: BTreeMap<(Addr, u64), PendingStore>,
+    }
+
+    impl ReferenceTracker {
+        /// A tracker with no pending state.
+        fn new() -> Self {
+            ReferenceTracker::default()
+        }
+
+        /// Estimated heap bytes held by the fence-epoch vector and the pending
+        /// store set. O(1): both maps expose their lengths.
+        fn tracked_bytes(&self) -> u64 {
+            let epochs = self.fence_epochs.len()
+                * (std::mem::size_of::<ThreadId>() + std::mem::size_of::<u64>());
+            let pending = self.pending.len()
+                * (std::mem::size_of::<(Addr, u64)>() + std::mem::size_of::<PendingStore>());
+            (epochs + pending) as u64
+        }
+
+        /// Current fence epoch of `tid`.
+        fn epoch(&self, tid: ThreadId) -> u64 {
+            self.fence_epochs.get(&tid).copied().unwrap_or(0)
+        }
+
+        /// Observes a store: it is now visible-when-published and not durable.
+        fn on_store(&mut self, seq: u64, addr: Addr, size: u64, tid: ThreadId) {
+            self.pending.insert(
+                (addr, size),
+                PendingStore {
+                    store_tid: tid,
+                    store_seq: seq,
+                    flushed_by: None,
+                    reported: false,
+                },
+            );
+        }
+
+        /// Observes a flush by `tid` of `[addr, addr+len)`: overlapped pending
+        /// stores now await `tid`'s next fence.
+        fn on_flush(&mut self, addr: Addr, len: u64, tid: ThreadId) {
+            let epoch = self.epoch(tid);
+            for (&(sa, sl), entry) in self.pending.iter_mut() {
+                if entry.flushed_by.is_none() && ranges_overlap(sa, sl, addr, len) {
+                    entry.flushed_by = Some((tid, epoch));
+                }
+            }
+        }
+
+        /// Observes a fence by `tid`: every store `tid` flushed becomes durably
+        /// ordered and leaves the pending set. Other threads' flushes are
+        /// untouched — that asymmetry is exactly what the rules detect.
+        fn on_fence(&mut self, tid: ThreadId) {
+            *self.fence_epochs.entry(tid).or_insert(0) += 1;
+            self.pending
+                .retain(|_, entry| entry.flushed_by.map(|(t, _)| t) != Some(tid));
+        }
+
+        /// Observes a CAS by `tid` at stream position `seq`. On success, probes
+        /// the publish window starting at `new` and reports every pending store
+        /// it exposes (each once), then books the CAS target itself as a store.
+        /// Failed CAS neither publishes nor stores.
+        fn on_cas(
+            &mut self,
+            seq: u64,
+            addr: Addr,
+            size: u64,
+            tid: ThreadId,
+            new: u64,
+            success: bool,
+        ) -> Vec<BugReport> {
+            if !success {
+                return Vec::new();
+            }
+            let mut reports = Vec::new();
+            for (&(sa, sl), entry) in self.pending.iter_mut() {
+                if entry.reported
+                    || entry.store_seq == seq
+                    || !ranges_overlap(sa, sl, new, CAS_PUBLISH_WINDOW)
+                {
+                    continue;
+                }
+                entry.reported = true;
+                let report = match entry.flushed_by {
+                    None => BugReport::new(
+                        BugKind::PublishedUnflushed,
+                        format!(
+                            "CAS on thread {} publishes {new:#x}, exposing a store by \
+                             thread {} (event #{}) that was never flushed",
+                            tid.0, entry.store_tid.0, entry.store_seq
+                        ),
+                    ),
+                    Some((flusher, flush_epoch)) => BugReport::new(
+                        BugKind::UnpublishedVisible,
+                        format!(
+                            "CAS on thread {} publishes {new:#x}, exposing a store by \
+                             thread {} (event #{}) flushed by thread {} (fence epoch \
+                             {flush_epoch}) whose fence has not yet happened on thread {}",
+                            tid.0, entry.store_tid.0, entry.store_seq, flusher.0, flusher.0
+                        ),
+                    ),
+                };
+                reports.push(report.with_range(sa, sl).with_event(seq));
+            }
+            self.on_store(seq, addr, size, tid);
+            reports
+        }
+
+        fn encode_into(&self, w: &mut CkptWriter) {
+            w.usize(self.fence_epochs.len());
+            for (tid, epoch) in &self.fence_epochs {
+                w.varint(u64::from(tid.0));
+                w.varint(*epoch);
+            }
+            w.usize(self.pending.len());
+            for (&(addr, size), entry) in &self.pending {
+                w.varint(addr);
+                w.varint(size);
+                w.varint(u64::from(entry.store_tid.0));
+                w.varint(entry.store_seq);
+                match entry.flushed_by {
+                    None => w.u8(0),
+                    Some((tid, epoch)) => {
+                        w.u8(1);
+                        w.varint(u64::from(tid.0));
+                        w.varint(epoch);
+                    }
+                }
+                w.bool(entry.reported);
+            }
+        }
+    }
+
+    /// One tracker input.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Store {
+            addr: Addr,
+            size: u64,
+            tid: u32,
+        },
+        Flush {
+            addr: Addr,
+            len: u64,
+            tid: u32,
+        },
+        Fence {
+            tid: u32,
+        },
+        Cas {
+            addr: Addr,
+            tid: u32,
+            new: u64,
+            success: bool,
+        },
+    }
+
+    /// Addresses that collide: a handful of overlapping slots on three
+    /// lines, plus the very top of the address space.
+    fn any_addr() -> impl Strategy<Value = Addr> {
+        prop_oneof![
+            4 => (0u64..12).prop_map(|slot| 0x1000 + slot * 16),
+            1 => (0u64..96).prop_map(|below| u64::MAX - below),
+        ]
+    }
+
+    fn any_op() -> impl Strategy<Value = Op> {
+        let sizes = prop_oneof![Just(0u64), Just(1), Just(8), Just(64), Just(128)];
+        let lens = prop_oneof![Just(0u64), Just(8), Just(64), Just(128)];
+        prop_oneof![
+            4 => (any_addr(), sizes, 0u32..4)
+                .prop_map(|(addr, size, tid)| Op::Store { addr, size, tid }),
+            3 => (any_addr(), lens, 0u32..4).prop_map(|(addr, len, tid)| Op::Flush { addr, len, tid }),
+            2 => (0u32..4).prop_map(|tid| Op::Fence { tid }),
+            2 => (any_addr(), 0u32..4, any_addr(), any::<bool>())
+                .prop_map(|(addr, tid, new, success)| Op::Cas { addr, tid, new, success }),
+        ]
+    }
+
+    /// Feeds `op` at stream position `seq` to either tracker, with thread
+    /// ids folded into `0..threads`; returns the CAS reports (empty for
+    /// every other op).
+    macro_rules! apply {
+        ($tracker:expr, $seq:expr, $op:expr, $threads:expr) => {{
+            let t = |tid: u32| ThreadId(tid % $threads);
+            match *$op {
+                Op::Store { addr, size, tid } => {
+                    $tracker.on_store($seq, addr, size, t(tid));
+                    Vec::new()
+                }
+                Op::Flush { addr, len, tid } => {
+                    $tracker.on_flush(addr, len, t(tid));
+                    Vec::new()
+                }
+                Op::Fence { tid } => {
+                    $tracker.on_fence(t(tid));
+                    Vec::new()
+                }
+                Op::Cas {
+                    addr,
+                    tid,
+                    new,
+                    success,
+                } => $tracker.on_cas($seq, addr, 8, t(tid), new, success),
+            }
+        }};
+    }
+
+    fn encoded(encode: impl FnOnce(&mut CkptWriter)) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        encode(&mut w);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed tracker reports exactly what the full scan reports
+        /// (kinds, ranges, order and message text), checkpoints to the
+        /// same bytes, and a copy decoded mid-stream carries on identically.
+        #[test]
+        fn indexed_tracker_matches_full_scan_reference(
+            threads in 1u32..5,
+            ops in proptest::collection::vec(any_op(), 1..160),
+            big in (0u64..0x1200, 8192u64..12288, 0u32..4, 0usize..160),
+            mid in 0usize..161,
+        ) {
+            let mut ops = ops;
+            let (addr, size, tid, at) = big;
+            ops.insert(at % (ops.len() + 1), Op::Store { addr, size, tid });
+            let mid = mid % ops.len();
+            let mut reference = ReferenceTracker::new();
+            let mut tracker = CrossThreadTracker::new();
+            let mut resumed: Option<CrossThreadTracker> = None;
+            for (seq, op) in ops.iter().enumerate() {
+                let seq = seq as u64;
+                if seq == mid as u64 {
+                    let bytes = encoded(|w| tracker.encode_into(w));
+                    prop_assert_eq!(&bytes, &encoded(|w| reference.encode_into(w)));
+                    let mut r = CkptReader::new(&bytes);
+                    resumed = Some(CrossThreadTracker::decode_from(&mut r).expect("decodes"));
+                    prop_assert!(r.is_empty());
+                }
+                let expected = apply!(reference, seq, op, threads);
+                prop_assert_eq!(&apply!(tracker, seq, op, threads), &expected, "event #{} {:?}", seq, op);
+                if let Some(resumed) = resumed.as_mut() {
+                    let got = apply!(resumed, seq, op, threads);
+                    prop_assert_eq!(&got, &expected, "resumed, event #{} {:?}", seq, op);
+                    prop_assert_eq!(resumed.tracked_bytes(), reference.tracked_bytes());
+                }
+                prop_assert_eq!(tracker.tracked_bytes(), reference.tracked_bytes());
+            }
+            prop_assert_eq!(
+                encoded(|w| tracker.encode_into(w)),
+                encoded(|w| reference.encode_into(w))
+            );
+        }
     }
 }

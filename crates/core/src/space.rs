@@ -18,7 +18,11 @@ use pm_trace::Addr;
 use crate::array::{FlushState, LocEntry, MemLocArray};
 use crate::avl::{split_against_flush, AvlTree, SmallReplacement, TreeRecord};
 use crate::ckpt::{CheckpointDecodeError, CkptReader, CkptWriter};
-use crate::interval::{IntervalList, IntervalState};
+use crate::interval::{IntervalList, IntervalMeta, IntervalState};
+
+/// Up to this many CLF intervals in the fence interval, the overlap check
+/// walks them all instead of probing the interval line index.
+const SCAN_INTERVALS_MAX: usize = 8;
 
 /// Result of processing one store (input to the multiple-overwrites rule).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,6 +129,9 @@ pub struct BookkeepingSpace {
     /// In-epoch entries currently staged in the array (lets epoch-end
     /// checks skip scanning when zero).
     array_epoch: usize,
+    /// Zero-size stores currently staged in the array. They cover no cache
+    /// line, so the interval line index cannot find them.
+    array_zero_size: usize,
     /// Monotone mutation counter: bumped by every state-changing operation,
     /// so aggregate-stat callers can cache per-space contributions and
     /// refresh only spaces that actually changed.
@@ -141,6 +148,7 @@ impl BookkeepingSpace {
             merge_threshold,
             stats: SpaceStats::default(),
             array_epoch: 0,
+            array_zero_size: 0,
             version: 0,
         }
     }
@@ -209,6 +217,7 @@ impl BookkeepingSpace {
         };
         let array_epoch = r.varint()? as usize;
         let version = r.varint()?;
+        let array_zero_size = array.entries().iter().filter(|e| e.size == 0).count();
         Ok(BookkeepingSpace {
             array,
             intervals,
@@ -216,6 +225,7 @@ impl BookkeepingSpace {
             merge_threshold,
             stats,
             array_epoch,
+            array_zero_size,
             version,
         })
     }
@@ -262,6 +272,9 @@ impl BookkeepingSpace {
                 if in_epoch {
                     self.array_epoch += 1;
                 }
+                if size == 0 {
+                    self.array_zero_size += 1;
+                }
             }
             None => {
                 self.tree.insert(TreeRecord {
@@ -284,20 +297,27 @@ impl BookkeepingSpace {
         if self.tree.overlaps(addr, size) {
             return true;
         }
-        for meta in self.intervals.intervals() {
-            if !meta.overlaps(addr, size) {
-                continue;
-            }
-            if self
-                .array
-                .overlapping_in(meta.start, meta.end, addr, size)
-                .next()
-                .is_some()
-            {
-                return true;
-            }
+        let holds_overlap = |meta: &IntervalMeta| {
+            meta.overlaps(addr, size)
+                && self
+                    .array
+                    .overlapping_in(meta.start, meta.end, addr, size)
+                    .next()
+                    .is_some()
+        };
+        // A short list is cheaper to walk than the line index is to probe,
+        // and a zero-size store covers no line, so the index cannot find it.
+        if self.intervals.len() <= SCAN_INTERVALS_MAX || self.array_zero_size > 0 {
+            return self.intervals.intervals().iter().any(holds_overlap);
         }
-        false
+        // Two ranges overlap only on a line both cover (for a zero-size
+        // probe, the line holding `addr`), so only the intervals that stored
+        // to the probed lines can hold an overlapping element: the check
+        // stays O(1) per store however many CLF intervals the fence
+        // interval holds.
+        self.intervals
+            .line_candidates(addr, size.max(1))
+            .any(holds_overlap)
     }
 
     /// §4.3: processes a CLF persisting `[addr, addr+size)`.
@@ -486,6 +506,7 @@ impl BookkeepingSpace {
         self.intervals.clear();
         self.array.clear();
         self.array_epoch = 0;
+        self.array_zero_size = 0;
         self.tree.maybe_merge(self.merge_threshold);
 
         outcome.tree_nodes_after = self.tree.len();
@@ -549,6 +570,7 @@ impl BookkeepingSpace {
         self.array.clear();
         self.intervals.clear();
         self.array_epoch = 0;
+        self.array_zero_size = 0;
         self.tree = AvlTree::new();
     }
 }
@@ -556,6 +578,7 @@ impl BookkeepingSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn space() -> BookkeepingSpace {
         BookkeepingSpace::new(1024, 500)
@@ -758,5 +781,62 @@ mod tests {
         let second = s.on_flush(0, 64);
         assert_eq!(second.newly_flushed, 1);
         assert_eq!(second.already_flushed, 1); // the first store re-covered
+    }
+
+    /// The overlap check before the line index: every CLF interval of the
+    /// fence interval is examined.
+    fn contains_overlap_by_scan(s: &BookkeepingSpace, addr: Addr, size: u64) -> bool {
+        s.tree.overlaps(addr, size)
+            || s.intervals.intervals().iter().any(|meta| {
+                meta.overlaps(addr, size)
+                    && s.array
+                        .overlapping_in(meta.start, meta.end, addr, size)
+                        .next()
+                        .is_some()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The line-indexed overlap check answers exactly what the full scan
+        /// answers, across zero-size stores and probes, partial flushes,
+        /// array spills and a checkpoint round trip.
+        #[test]
+        fn indexed_overlap_check_matches_full_scan(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..512, 0u64..140), 1..200),
+            reload_at in 0usize..200,
+        ) {
+            let mut s = BookkeepingSpace::new(16, 500);
+            for (i, &(op, addr, len)) in ops.iter().enumerate() {
+                if i == reload_at {
+                    let mut w = CkptWriter::new();
+                    s.encode_into(&mut w);
+                    let bytes = w.into_bytes();
+                    s = BookkeepingSpace::decode_from(&mut CkptReader::new(&bytes))
+                        .expect("decodes");
+                }
+                match op {
+                    0 => {
+                        s.on_store(addr, len % 24, false, i as u64, false);
+                    }
+                    1 => {
+                        s.on_flush(addr, len);
+                    }
+                    2 if len < 20 => {
+                        s.on_fence();
+                    }
+                    _ => {}
+                }
+                for (a, l) in [(addr, len), (addr, 0), (addr ^ 0x40, len % 8)] {
+                    prop_assert_eq!(
+                        s.contains_overlap(a, l),
+                        contains_overlap_by_scan(&s, a, l),
+                        "probe [{:#x}, +{}) after op #{}", a, l, i
+                    );
+                }
+            }
+        }
     }
 }

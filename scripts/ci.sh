@@ -37,10 +37,11 @@
 # sweeps      one loop runs each seeded chaos sweep as its own `sweep-<name>`
 #             stage (`scripts/ci.sh sweep-serve` runs one): `pmdbg chaos
 #             --sweep <name> --plans <n> --json` at the default seed, gated
-#             on "ok":true, "aborts":0, "plans_run":<n> and the [zero]
-#             counters. A violation names its plan; `pmdbg chaos --sweep
-#             <name> --replay <seed>:<index>` reruns exactly that plan.
-#               name          plans  seed        faults -> violation kinds [zero]
+#             on "ok":true, "aborts":0, "plans_run":<n>, the [zero]
+#             counters and the {pinned} tallies (exact values). A violation
+#             names its plan; `pmdbg chaos --sweep <name> --replay
+#             <seed>:<index>` reruns exactly that plan.
+#               name          plans  seed        faults -> violation kinds [zero] {pinned}
 #               corrupt       500x2  806405      bit flips, cuts, splices, junk
 #                             (both fixtures)    prefixes -> floor-violation
 #                                                prefix-mismatch detector-mismatch
@@ -51,12 +52,17 @@
 #                                                divergence
 #               serve         200    0x5E551085  hostile clients -> hash-
 #                                                divergence loss-mismatch ...
+#                                                {ok_sessions quarantined_sessions
+#                                                hash_checks frames_lost_total
+#                                                retries_total}
 #               thread-crash  100    0x7C4A5AD0  killed thread subsets ->
 #                                                survivor-divergence
 #               daemon-crash  100    0x7C4A5AD0  daemon kills, damaged journals
 #                                                -> verdict-recomputed verdict-
 #                                                diverged phantom-verdict
 #                                                [verdicts_lost verdicts_duplicated]
+#                                                {replayed_from_ledger resumed_from_
+#                                                checkpoint torn_discarded_total}
 #               mem-pressure  100    0x7C4A5AD0  starved budgets, allocator vetoes
 #                                                -> verdict-divergence tracked-
 #                                                bytes-leak ... [verdict_divergence]
@@ -148,16 +154,17 @@ docs_stage() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 }
 
-# The sweep runs CI gates, one row each: sweep name, plan count, counters
-# that must be present and zero ("-" for none), then extra pmdbg args.
+# The sweep runs CI gates, one row each: sweep name, plan count, gated
+# counters ("-" for none), then extra pmdbg args. A bare counter must be
+# present and zero; `key=value` pins a tally to exactly that value.
 SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure)
 SWEEP_RUNS=(
   "corrupt 500 panics --trace tests/fixtures/btree_96.pmt2"
   "corrupt 500 panics --trace tests/fixtures/hashmap_atomic_48.trace"
   "supervise 200 -"
-  "serve 200 -"
+  "serve 200 ok_sessions=150,quarantined_sessions=25,hash_checks=175,frames_lost_total=910,retries_total=54"
   "thread-crash 100 -"
-  "daemon-crash 100 verdicts_lost,verdicts_duplicated"
+  "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=72,torn_discarded_total=42"
   "mem-pressure 100 verdict_divergence"
 )
 
@@ -172,10 +179,15 @@ sweep_stage() {
     # shellcheck disable=SC2086 # extra is a word list by design
     report=$(cargo run -q --offline -p pm-cli -- chaos --sweep "${name}" \
       --plans "${plans}" --budget-ms "${BUDGET_MS}" --json ${extra}) || rc=$?
-    # Every plan ran inside the budget, cleanly, and each zero counter is
-    # reported and never non-zero (corrupt reports `panics` per class).
+    # Every plan ran inside the budget, cleanly, each zero counter is
+    # reported and never non-zero (corrupt reports `panics` per class), and
+    # each pinned tally matches exactly.
     local gates=('"ok":true' '"aborts":0' "\"plans_run\":${plans}[,}]")
     for key in ${zeros//,/ }; do
+      if [[ "${key}" == *=* ]]; then
+        gates+=("\"${key%%=*}\":${key#*=}[,}]")
+        continue
+      fi
       gates+=("\"${key}\":0")
       if grep -Eq "\"${key}\":[1-9]" <<<"${report}"; then rc=1; fi
     done
