@@ -3,7 +3,8 @@
 
 use pm_baselines::XfdetectorLike;
 use pm_bugs::{corpus, detects, Tool};
-use pm_trace::{replay_finish, BugKind, OrderSpec};
+use pm_trace::{replay_finish, report_hash, BugKind, BugReport, OrderSpec, ReportDigest};
+use pmdebugger::{DebuggerConfig, PmDebugger};
 
 #[test]
 fn corpus_is_deterministic() {
@@ -82,5 +83,36 @@ fn corpus_traces_roundtrip_through_text_format() {
         let text = pm_trace::to_text(&case.trace);
         let back = pm_trace::from_text(&text).unwrap();
         assert_eq!(case.trace, back, "{} roundtrip", case.id);
+    }
+}
+
+/// FNV-1a over each report's display form, 0xff after each report: the
+/// report hash as first written, kept as an independent reference.
+fn reference_hash(reports: &[BugReport]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for report in reports {
+        for byte in report.to_string().bytes().chain([0xff]) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn report_digest_matches_the_report_list_on_every_case() {
+    for case in corpus() {
+        let mut config = DebuggerConfig::for_model(case.model);
+        if let Some(spec) = &case.order_spec {
+            config = config.with_order_spec(spec.clone());
+        }
+        let reports = replay_finish(&case.trace, &mut PmDebugger::new(config));
+        let digest = ReportDigest::of(&reports);
+        assert_eq!(digest.hash, report_hash(&reports), "{}", case.id);
+        assert_eq!(digest.hash, reference_hash(&reports), "{}", case.id);
+        assert_eq!(digest.total(), reports.len() as u64, "{}", case.id);
+        for (kind, count) in BugKind::ALL.into_iter().zip(digest.counts) {
+            let want = reports.iter().filter(|r| r.kind == kind).count() as u64;
+            assert_eq!(count, want, "{} {kind}", case.id);
+        }
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use pm_baselines::{PmemcheckLike, PmtestLike, XfdetectorLike};
 use pm_obs::json::escape;
-use pm_trace::{Detector, PmEvent, Trace};
+use pm_trace::{Detector, PmEvent, ReportDigest, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
 use crate::budget::{Budget, Truncation};
@@ -304,14 +304,6 @@ fn detector_stack(model: PersistencyModel) -> Vec<(&'static str, Box<dyn Detecto
     ]
 }
 
-fn report_signature(reports: &[pm_trace::BugReport]) -> BTreeMap<&'static str, usize> {
-    let mut signature = BTreeMap::new();
-    for report in reports {
-        *signature.entry(report.kind.name()).or_insert(0) += 1;
-    }
-    signature
-}
-
 /// Runs the differential oracle over every (budget-bounded) single-event
 /// perturbation of `trace` and tabulates detector sensitivity.
 pub fn sensitivity_matrix(
@@ -330,16 +322,15 @@ pub fn sensitivity_matrix(
     let base_fingerprint = semantic_fingerprint(trace);
     // Baseline signature per detector: a perturbation is "detected" when it
     // produces a report the clean trace did not (new kind or higher count).
-    let base_signatures: BTreeMap<&'static str, BTreeMap<&'static str, usize>> =
-        detector_stack(model)
-            .into_iter()
-            .map(|(name, mut detector)| {
-                (
-                    name,
-                    report_signature(&pm_trace::replay_finish(trace, detector.as_mut())),
-                )
-            })
-            .collect();
+    let base_signatures: BTreeMap<&'static str, ReportDigest> = detector_stack(model)
+        .into_iter()
+        .map(|(name, mut detector)| {
+            (
+                name,
+                ReportDigest::of(&pm_trace::replay_finish(trace, detector.as_mut())),
+            )
+        })
+        .collect();
 
     let clock = budget.start_clock();
     let candidates = perturbations(trace);
@@ -374,11 +365,13 @@ pub fn sensitivity_matrix(
         }
         for (name, mut detector) in detector_stack(model) {
             let reports = pm_trace::replay_finish(&mutated, detector.as_mut());
-            let signature = report_signature(&reports);
+            let signature = ReportDigest::of(&reports);
             let base = &base_signatures[name];
             let flagged = signature
+                .counts
                 .iter()
-                .any(|(kind, count)| base.get(kind).copied().unwrap_or(0) < *count);
+                .zip(base.counts)
+                .any(|(&count, base_count)| base_count < count);
             let bucket = if flagged {
                 &mut row.detected
             } else {

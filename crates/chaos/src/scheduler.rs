@@ -9,10 +9,10 @@
 //! deterministic seeded sample (always including the final boundary) keeps
 //! the cost bounded and the run reproducible.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{PmEvent, Trace};
+use pm_trace::{PmEvent, ReportDigest, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 use pmem_sim::CrashImage;
 
@@ -191,12 +191,10 @@ impl Campaign {
             pm_trace::Detector::on_event(&mut detector, seq as u64, event);
         }
         let malformed_events = detector.malformed_events();
-        let mut detector_findings: BTreeMap<String, usize> = BTreeMap::new();
-        for report in pm_trace::Detector::finish(&mut detector) {
-            *detector_findings
-                .entry(report.kind.name().to_owned())
-                .or_insert(0) += 1;
-        }
+        let detector_findings = ReportDigest::of(&pm_trace::Detector::finish(&mut detector))
+            .kinds()
+            .map(|(kind, count)| (kind.name().to_owned(), count as usize))
+            .collect();
 
         let report = CampaignReport {
             workload: workload.to_owned(),

@@ -6,7 +6,6 @@
 //! parsing and command execution so they are unit-testable; `main.rs` is a
 //! thin shell.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -22,8 +21,8 @@ use pm_serve::{
     SessionStatus,
 };
 use pm_trace::{
-    BugKind, BugReport, BugSummary, Detector, IngestLimits, IngestMode, OrderSpec, PmRuntime,
-    Severity, Trace,
+    BugKind, BugSummary, Detector, IngestLimits, IngestMode, OrderSpec, PmRuntime, ReportDigest,
+    Trace,
 };
 use pm_workloads::Workload;
 use pmdebugger::{
@@ -886,7 +885,7 @@ pub fn tool_with_threads(
 /// pmdebugger engines. The second half of the result says whether the
 /// detector self-counts its `rule.*` firings at finish (the sequential
 /// engine does); otherwise the caller derives them from the final reports
-/// with [`count_rule_firings`].
+/// with [`manifest_digest`].
 fn tool_with_metrics(
     name: &str,
     model: PersistencyModel,
@@ -924,37 +923,22 @@ fn tool_with_metrics(
         .ok_or_else(|| format!("unknown tool `{name}` (try `pmdbg list`)"))
 }
 
-/// Adds `rule.<kind>` counters from a run's final reports, for detectors
-/// that do not self-count firings (baselines and the parallel pipeline).
-fn count_rule_firings(registry: &MetricsRegistry, reports: &[BugReport]) {
-    let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for report in reports {
-        *by_kind.entry(report.kind.name()).or_insert(0) += 1;
-    }
-    for (kind, count) in by_kind {
-        registry.counter(&format!("rule.{kind}")).add(count);
-    }
-}
-
-/// Summarizes a run's reports into a manifest [`BugDigest`].
-fn bug_digest(reports: &[BugReport]) -> BugDigest {
-    let mut digest = BugDigest {
-        total: reports.len() as u64,
-        report_hash: format!("{:016x}", pm_trace::report_hash(reports)),
-        ..BugDigest::default()
-    };
-    for report in reports {
-        if report.severity == Severity::Correctness {
-            digest.correctness += 1;
-        } else {
-            digest.performance += 1;
+/// The manifest's view of a run's report digest. With `count_rules` it
+/// first adds `rule.<kind>` counters from the digest, for detectors that
+/// do not self-count firings (baselines and the parallel pipeline).
+fn manifest_digest(
+    registry: &MetricsRegistry,
+    digest: &ReportDigest,
+    count_rules: bool,
+) -> BugDigest {
+    if count_rules {
+        for (kind, count) in digest.kinds() {
+            registry
+                .counter(&format!("rule.{}", kind.name()))
+                .add(count);
         }
-        *digest
-            .kinds
-            .entry(report.kind.name().to_owned())
-            .or_insert(0) += 1;
     }
-    digest
+    digest.to_bug_digest()
 }
 
 /// Exports a replay's [`IngestReport`](pm_trace::IngestReport) as the
@@ -1098,7 +1082,7 @@ fn execute_replay_zero_copy(
             0,
             1,
             registry,
-            bug_digest(&reports),
+            manifest_digest(registry, &ReportDigest::of(&reports), false),
             out,
         )?;
     }
@@ -1190,7 +1174,6 @@ fn execute_supervised(
     if let (Some(registry), Some(path)) = (&registry, metrics) {
         count_trace_kinds(registry, trace);
         result.export_metrics(registry);
-        count_rule_firings(registry, reports);
         write_manifest(
             path,
             "pmdebugger",
@@ -1199,7 +1182,7 @@ fn execute_supervised(
             ops,
             threads,
             registry,
-            bug_digest(reports),
+            manifest_digest(registry, &ReportDigest::of(reports), true),
             out,
         )?;
     }
@@ -1221,6 +1204,26 @@ static SERVE_STOP: AtomicBool = AtomicBool::new(false);
 /// from a SIGINT/SIGTERM handler.
 pub fn request_serve_stop() {
     SERVE_STOP.store(true, Ordering::Relaxed);
+}
+
+/// Supervision flags only apply to the pmdebugger pipeline.
+fn require_supervised_tool(tool: &str) -> Result<(), ExecError> {
+    if tool == "pmdebugger" {
+        return Ok(());
+    }
+    Err(ExecError::Input(format!(
+        "supervision flags require --tool pmdebugger (`{tool}` has no supervised pipeline)"
+    )))
+}
+
+/// Reads and parses an `--order <file>` spec, when one was given.
+fn read_order_spec(order: Option<String>) -> Result<Option<OrderSpec>, ExecError> {
+    let Some(path) = order else { return Ok(None) };
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| ExecError::Input(format!("cannot read order file {path}: {e}")))?;
+    text.parse::<OrderSpec>()
+        .map(Some)
+        .map_err(|e| ExecError::Input(format!("order file {path}: {e}")))
 }
 
 fn parse_model(text: &str) -> Result<PersistencyModel, ExecError> {
@@ -1469,22 +1472,16 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                 count_trace_kinds(registry, &trace);
                 // The campaign's differential detector pass yields kind
                 // counts, not reports: digest those (no report hash).
-                let mut digest = BugDigest::default();
+                let mut digest = ReportDigest::default();
                 for (name, &count) in &report.detector_findings {
-                    let n = count as u64;
-                    registry.counter(&format!("rule.{name}")).add(n);
-                    digest.total += n;
-                    let correctness = BugKind::ALL
-                        .iter()
-                        .find(|k| k.name() == name)
-                        .is_none_or(|k| k.is_correctness());
-                    if correctness {
-                        digest.correctness += n;
-                    } else {
-                        digest.performance += n;
+                    if let Some(i) = BugKind::ALL.iter().position(|k| k.name() == name) {
+                        digest.counts[i] = count as u64;
                     }
-                    digest.kinds.insert(name.clone(), n);
                 }
+                let digest = BugDigest {
+                    report_hash: String::new(),
+                    ..manifest_digest(registry, &digest, true)
+                };
                 write_manifest(
                     path,
                     "chaos",
@@ -1585,24 +1582,8 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             } else {
                 IngestMode::Strict
             };
-            let model = match model.as_str() {
-                "strict" => PersistencyModel::Strict,
-                "epoch" => PersistencyModel::Epoch,
-                "strand" => PersistencyModel::Strand,
-                other => return Err(ExecError::Input(format!("unknown model `{other}`"))),
-            };
-            let spec = match order {
-                None => None,
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path).map_err(|e| {
-                        ExecError::Input(format!("cannot read order file {path}: {e}"))
-                    })?;
-                    Some(
-                        text.parse::<OrderSpec>()
-                            .map_err(|e| ExecError::Input(format!("order file {path}: {e}")))?,
-                    )
-                }
-            };
+            let model = parse_model(&model)?;
+            let spec = read_order_spec(order)?;
             // The sequential pmdebugger engine runs straight off the mapped
             // v2 image: borrowed events, no owned `Trace`.
             if tool == "pmdebugger" && threads == 1 && !supervise.engaged() {
@@ -1628,12 +1609,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                 writeln!(out, "{}", ingest.summary()).map_err(wr)?;
             }
             if supervise.engaged() {
-                if tool != "pmdebugger" {
-                    return Err(ExecError::Input(format!(
-                        "supervision flags require --tool pmdebugger (`{tool}` has no \
-                         supervised pipeline)"
-                    )));
-                }
+                require_supervised_tool(&tool)?;
                 return execute_supervised(
                     &trace,
                     &path,
@@ -1673,9 +1649,6 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             if let (Some(registry), Some(manifest_path)) = (&registry, &metrics) {
                 count_trace_kinds(registry, &trace);
                 count_ingest(registry, &ingest);
-                if !rules_self_counted {
-                    count_rule_firings(registry, &reports);
-                }
                 write_manifest(
                     manifest_path,
                     &tool,
@@ -1684,7 +1657,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                     0,
                     threads,
                     registry,
-                    bug_digest(&reports),
+                    manifest_digest(registry, &ReportDigest::of(&reports), !rules_self_counted),
                     out,
                 )?;
             }
@@ -1702,26 +1675,10 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             let workload = workload_by_name(&workload).ok_or_else(|| {
                 ExecError::Input(format!("unknown workload `{workload}` (try `pmdbg list`)"))
             })?;
-            let spec = match order {
-                None => None,
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path).map_err(|e| {
-                        ExecError::Input(format!("cannot read order file {path}: {e}"))
-                    })?;
-                    Some(
-                        text.parse::<OrderSpec>()
-                            .map_err(|e| ExecError::Input(format!("order file {path}: {e}")))?,
-                    )
-                }
-            };
+            let spec = read_order_spec(order)?;
             let model = persistency(workload.model());
             if supervise.engaged() {
-                if tool != "pmdebugger" {
-                    return Err(ExecError::Input(format!(
-                        "supervision flags require --tool pmdebugger (`{tool}` has no \
-                         supervised pipeline)"
-                    )));
-                }
+                require_supervised_tool(&tool)?;
                 let trace = pm_workloads::record_trace(workload.as_ref(), ops);
                 return execute_supervised(
                     &trace,
@@ -1773,9 +1730,6 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             let summary = BugSummary::from_reports(reports.clone());
             write!(out, "{summary}").map_err(wr)?;
             if let (Some(registry), Some(path)) = (&registry, &metrics) {
-                if !rules_self_counted {
-                    count_rule_firings(registry, &reports);
-                }
                 write_manifest(
                     path,
                     &tool,
@@ -1784,7 +1738,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                     ops,
                     threads,
                     registry,
-                    bug_digest(&reports),
+                    manifest_digest(registry, &ReportDigest::of(&reports), !rules_self_counted),
                     out,
                 )?;
             }

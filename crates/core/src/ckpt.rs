@@ -321,9 +321,10 @@ pub(crate) fn decode_report(r: &mut CkptReader) -> Result<BugReport, CheckpointD
     Ok(report)
 }
 
-/// Serializes a report list with a leading count — shared by the
-/// checkpoint payload (pending reports) and the serve journal (committed
-/// verdict prefixes).
+/// Serializes a report list with a leading count, in the per-report
+/// layout the checkpoint payload uses for pending reports. The serve
+/// journal's older (type-1) checkpoint records carry their committed
+/// reports this way; recovery still reads them.
 pub fn encode_reports(reports: &[BugReport]) -> Vec<u8> {
     let mut w = CkptWriter::new();
     w.usize(reports.len());

@@ -28,7 +28,8 @@ pub struct BugDigest {
     pub performance: u64,
     /// Report counts by bug-kind name.
     pub kinds: BTreeMap<String, u64>,
-    /// Order-insensitive FNV hash of the report set, as a hex string
+    /// Position-sensitive FNV-1a hash of the report list (the same
+    /// reports in another order hash differently), as a hex string
     /// (strings survive JSON round trips exactly; u64-as-f64 would not in
     /// every consumer).
     pub report_hash: String,

@@ -17,17 +17,25 @@
 //! [rec magic u32][type u8][len u32][payload][crc32 u32]   repeated
 //! ```
 //!
-//! The CRC covers type + length + payload. Two record types exist:
+//! The CRC covers type + length + payload. Two record types are written:
 //!
-//! * **checkpoint** (type 1): session key, committed event count, the
-//!   [`SessionCheckpoint`] blob, and the *cumulative* committed report
-//!   list. Each record is self-contained, so recovery keeps the latest
-//!   valid one and survives corruption anywhere else in the file.
+//! * **checkpoint** (type 3): session key, committed event count, the
+//!   [`SessionCheckpoint`] blob, and the [`ReportDigest`] of the
+//!   committed reports (per-kind counts plus the running report hash —
+//!   all a verdict reads). The digest is fixed-size, so a record's size
+//!   does not grow with the reports committed so far. Each record is
+//!   self-contained, so recovery keeps the latest valid one and survives
+//!   corruption anywhere else in the file.
 //! * **verdict** (type 2): session key plus the exact response line the
 //!   client was sent. Its presence fences replay — a later push of the
 //!   same key is answered from the ledger (`replayed:true`) instead of
 //!   recomputed, which is what makes verdict emission exactly-once
 //!   across daemon crashes.
+//!
+//! Files written before the digest existed hold type-1 checkpoint
+//! records: the same fields, with the cumulative committed report list
+//! in place of the digest. Recovery still reads them, folding the list
+//! into a digest; whichever checkpoint record comes last wins.
 //!
 //! # Recovery
 //!
@@ -46,8 +54,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{crc32_fast, read_varint, write_varint, BugReport};
-use pmdebugger::{decode_reports, encode_reports, SessionCheckpoint};
+use pm_trace::{crc32_fast, read_varint, write_varint, BugKind, ReportDigest};
+use pmdebugger::{decode_reports, SessionCheckpoint};
 
 /// Magic leading every journal file.
 pub const JOURNAL_FILE_MAGIC: &[u8; 8] = b"PMJRNL01";
@@ -55,11 +63,15 @@ pub const JOURNAL_FILE_MAGIC: &[u8; 8] = b"PMJRNL01";
 /// Magic leading every record (`"JRNL"` little-endian).
 const REC_MAGIC: u32 = u32::from_le_bytes(*b"JRNL");
 
-/// Record type: cumulative checkpoint at a committed batch boundary.
-const REC_CHECKPOINT: u8 = 1;
+/// Record type: checkpoint carrying the cumulative committed report list
+/// (read for older files, no longer written).
+pub(crate) const REC_CHECKPOINT_LIST: u8 = 1;
 
 /// Record type: final verdict ledger entry (replay fence).
 const REC_VERDICT: u8 = 2;
+
+/// Record type: checkpoint carrying the committed reports' digest.
+const REC_CHECKPOINT: u8 = 3;
 
 /// Bytes of record header before the payload: magic + type + length.
 const REC_HEADER: usize = 4 + 1 + 4;
@@ -175,7 +187,7 @@ impl JournalEnv for FsJournalEnv {
 }
 
 /// Frames `payload` as one journal record.
-fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(REC_HEADER + payload.len() + 4);
     out.extend_from_slice(&REC_MAGIC.to_le_bytes());
     out.push(kind);
@@ -186,7 +198,14 @@ fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn checkpoint_payload(key: &str, events_committed: u64, ckpt: &[u8], reports: &[u8]) -> Vec<u8> {
+/// Checkpoint payload: key, committed events, checkpoint blob, then the
+/// committed reports (a digest in type 3, the full list in type 1).
+pub(crate) fn checkpoint_payload(
+    key: &str,
+    events_committed: u64,
+    ckpt: &[u8],
+    reports: &[u8],
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(key.len() + ckpt.len() + reports.len() + 24);
     write_varint(&mut out, key.len() as u64);
     out.extend_from_slice(key.as_bytes());
@@ -196,6 +215,35 @@ fn checkpoint_payload(key: &str, events_committed: u64, ckpt: &[u8], reports: &[
     write_varint(&mut out, reports.len() as u64);
     out.extend_from_slice(reports);
     out
+}
+
+/// Digest wire form: each kind count (in [`BugKind::ALL`] order), then
+/// the report hash, all as 8-byte little-endian words — a fixed size, so
+/// a checkpoint record does not grow as reports accumulate.
+fn encode_digest(digest: &ReportDigest) -> Vec<u8> {
+    digest
+        .counts
+        .iter()
+        .chain([&digest.hash])
+        .flat_map(|word| word.to_le_bytes())
+        .collect()
+}
+
+/// Inverse of [`encode_digest`]; `None` unless `bytes` is exactly one
+/// digest.
+fn decode_digest(bytes: &[u8]) -> Option<ReportDigest> {
+    if bytes.len() != 8 * (BugKind::ALL.len() + 1) {
+        return None;
+    }
+    let mut words = bytes
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+    let mut digest = ReportDigest::default();
+    for count in &mut digest.counts {
+        *count = words.next()?;
+    }
+    digest.hash = words.next()?;
+    Some(digest)
 }
 
 fn verdict_payload(key: &str, verdict: &str) -> Vec<u8> {
@@ -208,7 +256,7 @@ fn verdict_payload(key: &str, verdict: &str) -> Vec<u8> {
 }
 
 /// Reads one length-prefixed byte field; `None` on any bound violation.
-fn take_field(bytes: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
+fn take_field<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     let (len, used) = read_varint(&bytes[*pos..])?;
     let start = pos.checked_add(used)?;
     let end = start.checked_add(usize::try_from(len).ok()?)?;
@@ -216,7 +264,7 @@ fn take_field(bytes: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
         return None;
     }
     *pos = end;
-    Some(bytes[start..end].to_vec())
+    Some(&bytes[start..end])
 }
 
 fn take_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
@@ -228,9 +276,9 @@ fn take_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// The durable state recovered for one session key.
 #[derive(Debug, Clone, Default)]
 pub struct ScanOutcome {
-    /// Latest valid checkpoint: committed events, checkpoint blob,
-    /// cumulative committed-report blob.
-    pub checkpoint: Option<(u64, Vec<u8>, Vec<u8>)>,
+    /// Latest valid checkpoint: committed events, checkpoint blob, and
+    /// the digest of the committed reports.
+    pub checkpoint: Option<(u64, Vec<u8>, ReportDigest)>,
     /// Ledgered verdict line, when the session completed.
     pub verdict: Option<String>,
     /// Valid records replayed.
@@ -252,6 +300,7 @@ pub fn scan_journal(key: &str, bytes: &[u8]) -> ScanOutcome {
         return out;
     }
     let mut pos = JOURNAL_FILE_MAGIC.len();
+    let mut latest = None;
     let resync = |bytes: &[u8], from: usize| -> Option<usize> {
         let magic = REC_MAGIC.to_le_bytes();
         (from..bytes.len().checked_sub(3)?).find(|&i| bytes[i..i + 4] == magic)
@@ -261,8 +310,8 @@ pub fn scan_journal(key: &str, bytes: &[u8]) -> ScanOutcome {
         match valid {
             Some((kind_payload, next)) => {
                 match kind_payload {
-                    Record::Checkpoint(ec, ckpt, reports) => {
-                        out.checkpoint = Some((ec, ckpt, reports));
+                    Record::Checkpoint(ec, ckpt, committed) => {
+                        latest = Some((ec, ckpt, committed));
                     }
                     Record::Verdict(v) => out.verdict = Some(v),
                 }
@@ -278,17 +327,33 @@ pub fn scan_journal(key: &str, bytes: &[u8]) -> ScanOutcome {
             }
         }
     }
+    // Only the winning record is copied out, and only its report list
+    // (type 1) is decoded; a list that does not decode resumes nothing.
+    out.checkpoint = latest.and_then(|(ec, ckpt, committed)| {
+        let committed = match committed {
+            Committed::Digest(digest) => digest,
+            Committed::List(list) => ReportDigest::of(&decode_reports(list).ok()?),
+        };
+        Some((ec, ckpt.to_vec(), committed))
+    });
     out
 }
 
-enum Record {
-    Checkpoint(u64, Vec<u8>, Vec<u8>),
+enum Record<'a> {
+    Checkpoint(u64, &'a [u8], Committed<'a>),
     Verdict(String),
+}
+
+/// A checkpoint record's committed reports: a digest (type 3) or the
+/// encoded list (type 1).
+enum Committed<'a> {
+    Digest(ReportDigest),
+    List(&'a [u8]),
 }
 
 /// Parses the record at `pos`; `None` on any structural or checksum
 /// damage (including a key that does not match the file).
-fn parse_record(key: &str, bytes: &[u8], pos: usize) -> Option<(Record, usize)> {
+fn parse_record<'a>(key: &str, bytes: &'a [u8], pos: usize) -> Option<(Record<'a>, usize)> {
     if bytes.len() - pos < REC_HEADER + 4 {
         return None;
     }
@@ -316,15 +381,20 @@ fn parse_record(key: &str, bytes: &[u8], pos: usize) -> Option<(Record, usize)> 
         return None;
     }
     let record = match kind {
-        REC_CHECKPOINT => {
+        REC_CHECKPOINT | REC_CHECKPOINT_LIST => {
             let events_committed = take_varint(payload, &mut p)?;
             let ckpt = take_field(payload, &mut p)?;
             let reports = take_field(payload, &mut p)?;
-            Record::Checkpoint(events_committed, ckpt, reports)
+            let committed = if kind == REC_CHECKPOINT {
+                Committed::Digest(decode_digest(reports)?)
+            } else {
+                Committed::List(reports)
+            };
+            Record::Checkpoint(events_committed, ckpt, committed)
         }
         REC_VERDICT => {
             let verdict = take_field(payload, &mut p)?;
-            Record::Verdict(String::from_utf8(verdict).ok()?)
+            Record::Verdict(std::str::from_utf8(verdict).ok()?.to_owned())
         }
         _ => return None,
     };
@@ -337,17 +407,13 @@ fn parse_record(key: &str, bytes: &[u8], pos: usize) -> Option<(Record, usize)> 
 /// Checkpoint state a resumed session starts from.
 pub(crate) struct ResumeState {
     pub checkpoint: SessionCheckpoint,
-    pub committed: Vec<BugReport>,
+    pub committed: ReportDigest,
     pub events_committed: u64,
 }
 
-struct RecoveredEntry {
-    checkpoint: Option<(u64, Vec<u8>, Vec<u8>)>,
-    verdict: Option<String>,
-}
-
 struct JournalState {
-    recovered: BTreeMap<String, RecoveredEntry>,
+    /// Per-key scan results (only keys with a checkpoint or verdict).
+    recovered: BTreeMap<String, ScanOutcome>,
     active: HashSet<String>,
 }
 
@@ -404,13 +470,7 @@ impl Journal {
                 .add(scan.torn_discarded);
             if scan.checkpoint.is_some() || scan.verdict.is_some() {
                 registry.counter("journal.sessions_recovered").inc();
-                recovered.insert(
-                    key,
-                    RecoveredEntry {
-                        checkpoint: scan.checkpoint,
-                        verdict: scan.verdict,
-                    },
-                );
+                recovered.insert(key, scan);
             }
         }
         registry
@@ -447,9 +507,8 @@ impl Journal {
                 .get(key)
                 .and_then(|entry| entry.checkpoint.clone())
         };
-        let resume = resume_blob.and_then(|(events_committed, ckpt, reports)| {
+        let resume = resume_blob.and_then(|(events_committed, ckpt, committed)| {
             let checkpoint = SessionCheckpoint::from_bytes(&ckpt).ok()?;
-            let committed = decode_reports(&reports).ok()?;
             Some(ResumeState {
                 checkpoint,
                 committed,
@@ -479,14 +538,7 @@ impl Journal {
         let mut state = self.state.lock().expect("journal state poisoned");
         state.active.remove(key);
         if let Some(verdict) = verdict {
-            state
-                .recovered
-                .entry(key.to_owned())
-                .or_insert(RecoveredEntry {
-                    checkpoint: None,
-                    verdict: None,
-                })
-                .verdict = Some(verdict);
+            state.recovered.entry(key.to_owned()).or_default().verdict = Some(verdict);
         }
     }
 }
@@ -511,18 +563,18 @@ impl SessionJournal {
     }
 
     /// Appends (and fsyncs) one committed batch boundary: the full
-    /// checkpoint plus the cumulative committed report list.
+    /// checkpoint plus the digest of the committed reports.
     pub fn append_checkpoint(
         &mut self,
         events_committed: u64,
         checkpoint: &SessionCheckpoint,
-        committed: &[BugReport],
+        committed: &ReportDigest,
     ) {
         let payload = checkpoint_payload(
             &self.key,
             events_committed,
             &checkpoint.to_bytes(),
-            &encode_reports(committed),
+            &encode_digest(committed),
         );
         self.append_record(REC_CHECKPOINT, &payload);
     }
@@ -656,13 +708,10 @@ pub fn recover_dir(dir: &Path) -> io::Result<RecoverySummary> {
             }
         };
         let scan = scan_journal(&key, &bytes);
-        let (events_committed, reports) = match &scan.checkpoint {
-            Some((ec, _, reports_blob)) => (
-                *ec,
-                decode_reports(reports_blob).map_or(0, |r| r.len() as u64),
-            ),
-            None => (0, 0),
-        };
+        let (events_committed, reports) = scan
+            .checkpoint
+            .as_ref()
+            .map_or((0, 0), |(ec, _, committed)| (*ec, committed.total()));
         summary.records_total += scan.records_replayed;
         summary.torn_total += scan.torn_discarded;
         summary.sessions.push(RecoveredSessionSummary {
@@ -694,6 +743,13 @@ mod tests {
         session.checkpoint()
     }
 
+    /// A type-3 checkpoint record at `events` committed events.
+    fn ckpt_record(key: &str, events: u64) -> Vec<u8> {
+        let (ckpt, digest) = (sample_checkpoint().to_bytes(), ReportDigest::default());
+        let payload = checkpoint_payload(key, events, &ckpt, &encode_digest(&digest));
+        encode_record(REC_CHECKPOINT, &payload)
+    }
+
     fn file_with(records: &[Vec<u8>]) -> Vec<u8> {
         let mut bytes = JOURNAL_FILE_MAGIC.to_vec();
         for r in records {
@@ -704,15 +760,8 @@ mod tests {
 
     #[test]
     fn scan_recovers_latest_checkpoint_and_verdict() {
-        let ckpt = sample_checkpoint().to_bytes();
-        let r1 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 8, &ckpt, &encode_reports(&[])),
-        );
-        let r2 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 16, &ckpt, &encode_reports(&[])),
-        );
+        let r1 = ckpt_record("k", 8);
+        let r2 = ckpt_record("k", 16);
         let r3 = encode_record(REC_VERDICT, &verdict_payload("k", "{\"status\":\"ok\"}"));
         let scan = scan_journal("k", &file_with(&[r1, r2, r3]));
         assert_eq!(scan.records_replayed, 3);
@@ -723,16 +772,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_discarded_and_prefix_survives() {
-        let ckpt = sample_checkpoint().to_bytes();
-        let r1 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 8, &ckpt, &encode_reports(&[])),
-        );
-        let r2 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 16, &ckpt, &encode_reports(&[])),
-        );
-        let mut bytes = file_with(&[r1, r2]);
+        let mut bytes = file_with(&[ckpt_record("k", 8), ckpt_record("k", 16)]);
         // Tear the last record: drop its final 5 bytes.
         bytes.truncate(bytes.len() - 5);
         let scan = scan_journal("k", &bytes);
@@ -743,16 +783,7 @@ mod tests {
 
     #[test]
     fn mid_file_corruption_resyncs_to_later_records() {
-        let ckpt = sample_checkpoint().to_bytes();
-        let r1 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 8, &ckpt, &encode_reports(&[])),
-        );
-        let r2 = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("k", 16, &ckpt, &encode_reports(&[])),
-        );
-        let mut bytes = file_with(&[r1, r2]);
+        let mut bytes = file_with(&[ckpt_record("k", 8), ckpt_record("k", 16)]);
         // Flip a byte inside the first record's payload.
         bytes[JOURNAL_FILE_MAGIC.len() + REC_HEADER + 3] ^= 0xFF;
         let scan = scan_journal("k", &bytes);
@@ -766,18 +797,25 @@ mod tests {
 
     #[test]
     fn wrong_key_and_bad_magic_are_rejected() {
-        let ckpt = sample_checkpoint().to_bytes();
-        let r = encode_record(
-            REC_CHECKPOINT,
-            &checkpoint_payload("other", 8, &ckpt, &encode_reports(&[])),
-        );
-        let scan = scan_journal("k", &file_with(&[r]));
+        let scan = scan_journal("k", &file_with(&[ckpt_record("other", 8)]));
         assert!(scan.checkpoint.is_none());
         assert_eq!(scan.records_replayed, 0);
 
         let scan = scan_journal("k", b"GARBAGE-NOT-A-JOURNAL");
         assert!(scan.checkpoint.is_none());
         assert_eq!(scan.torn_discarded, 1);
+    }
+
+    #[test]
+    fn digest_codec_roundtrips_at_a_fixed_size() {
+        let mut digest = ReportDigest::default();
+        digest.counts[1] = u64::MAX;
+        digest.counts[11] = 3;
+        let bytes = encode_digest(&digest);
+        assert_eq!(bytes.len(), 8 * (BugKind::ALL.len() + 1));
+        assert_eq!(decode_digest(&bytes), Some(digest));
+        assert_eq!(decode_digest(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(decode_digest(&[bytes.as_slice(), &[0; 8]].concat()), None);
     }
 
     #[test]
@@ -805,11 +843,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let env = FsJournalEnv;
-        let ckpt = sample_checkpoint();
         {
             let mut io = env.open_append(&dir, "s1").unwrap();
-            let payload = checkpoint_payload("s1", 32, &ckpt.to_bytes(), &encode_reports(&[]));
-            io.append(&encode_record(REC_CHECKPOINT, &payload)).unwrap();
+            io.append(&ckpt_record("s1", 32)).unwrap();
             io.sync().unwrap();
         }
         // Reopening must not re-write the magic.
@@ -872,7 +908,7 @@ mod tests {
             panic!("expected fresh session");
         };
         assert!(matches!(journal.begin("a"), Begin::Busy));
-        sj.append_checkpoint(8, &sample_checkpoint(), &[]);
+        sj.append_checkpoint(8, &sample_checkpoint(), &ReportDigest::default());
         sj.append_verdict("{\"v\":1}");
         sj.finish(Some("{\"v\":1}".to_owned()));
 
@@ -890,7 +926,7 @@ mod tests {
         let Begin::Fresh(mut sj) = journal2.begin("b") else {
             panic!("expected fresh session");
         };
-        sj.append_checkpoint(16, &sample_checkpoint(), &[]);
+        sj.append_checkpoint(16, &sample_checkpoint(), &ReportDigest::default());
         sj.finish(None);
         drop(journal2);
         let journal3 = Arc::new(

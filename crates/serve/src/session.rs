@@ -26,7 +26,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{report_hash, BugReport, IngestError, PmEvent, StreamDecoder};
+use pm_trace::{IngestError, PmEvent, ReportDigest, StreamDecoder};
 use pmdebugger::{
     DebuggerConfig, DetectSession, FailMode, MemGovernor, MemPressure, SessionCheckpoint,
     SessionGrant,
@@ -120,7 +120,9 @@ struct DetectPump<'a> {
     session: Option<DetectSession>,
     checkpoint: SessionCheckpoint,
     pending: Vec<PmEvent>,
-    committed: Vec<BugReport>,
+    /// Counts and hash of every committed report (fixed-size: the
+    /// reports themselves are not kept).
+    committed: ReportDigest,
     /// Events whose results are committed (mirrors the checkpoint).
     events_committed: u64,
     /// Total panics absorbed (attempt n is the n-th panic).
@@ -151,7 +153,7 @@ impl<'a> DetectPump<'a> {
             session: Some(session),
             checkpoint,
             pending: Vec::new(),
-            committed: Vec::new(),
+            committed: ReportDigest::default(),
             events_committed: 0,
             attempts: 0,
             failure: None,
@@ -241,7 +243,7 @@ impl<'a> DetectPump<'a> {
 
     /// Attaches a keyed session's journal. When a durable checkpoint
     /// was recovered, the pump resumes from it: detection state, the
-    /// committed report prefix and the commit counter are restored, and
+    /// committed reports' digest and the commit counter are restored, and
     /// the first `events_committed` re-sent events are skipped.
     fn attach_journal(&mut self, mut journal: SessionJournal) {
         if let Some(resume) = journal.take_resume() {
@@ -314,12 +316,14 @@ impl<'a> DetectPump<'a> {
             }));
             match outcome {
                 Ok((session, reports)) => {
-                    self.committed.extend(reports);
+                    for report in &reports {
+                        self.committed.push(report);
+                    }
                     self.events_committed = session.events_fed();
                     if !at_finish {
                         self.checkpoint = session.checkpoint();
                         // Commit boundary: make the checkpoint (and the
-                        // cumulative committed reports) durable before
+                        // committed reports' digest) durable before
                         // acknowledging more of the stream.
                         if let Some(journal) = self.journal.as_mut() {
                             journal.append_checkpoint(
@@ -778,14 +782,10 @@ fn build_response(
     if status != SessionStatus::Error {
         // Committed results travel even on quarantine (degrade mode's
         // whole point); strict mode withholds partial results.
-        response.bugs_total = pump.committed.len() as u64;
-        for report in &pump.committed {
-            *response
-                .bug_kinds
-                .entry(report.kind.name().to_owned())
-                .or_default() += 1;
-        }
-        response.report_hash = format!("{:016x}", report_hash(&pump.committed));
+        let bugs = pump.committed.to_bug_digest();
+        response.bugs_total = bugs.total;
+        response.bug_kinds = bugs.kinds;
+        response.report_hash = bugs.report_hash;
     }
     response
 }
@@ -1064,7 +1064,7 @@ mod tests {
         }
         pump.run_batch(true);
         assert!(pump.spilled.is_none(), "rehydrated transparently");
-        assert_eq!(report_hash(&pump.committed), report_hash(&clean.committed));
+        assert_eq!(pump.committed, clean.committed);
         assert_eq!(pump.events_committed, clean.events_committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1192,50 +1192,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_keyed_session_resumes_from_checkpoint() {
-        let dir = journal_tmp("resume");
-        let cfg = test_config();
-        let (_, clean) = run(&cfg, sample_bytes());
-
-        // Simulate a daemon crash mid-session: 24 of 48 events made it
-        // to a durable checkpoint, no verdict was ledgered.
-        {
-            let registry = MetricsRegistry::new();
-            let journal = Arc::new(
-                crate::journal::Journal::open(
-                    dir.clone(),
-                    Arc::new(crate::journal::FsJournalEnv),
-                    registry,
-                )
-                .unwrap(),
-            );
-            let Begin::Fresh(mut sj) = journal.begin("k2") else {
-                panic!("expected fresh session");
-            };
-            let events = sample_events();
-            let mut session = DetectSession::new(DebuggerConfig::for_model(cfg.model));
-            let committed = session.feed(&events[..24]);
-            sj.append_checkpoint(24, &session.checkpoint(), &committed);
-            sj.finish(None);
-        }
-
-        // Restarted server, client re-pushes the full stream: the pump
-        // skips the committed prefix and finishes identically to an
-        // uninterrupted run.
-        let registry = MetricsRegistry::new();
-        let ctx = keyed_ctx(&dir, registry.clone());
-        let mut input = crate::protocol::session_preface("k2");
-        input.extend_from_slice(&sample_bytes());
-        let (end, resp) = run_keyed(&cfg, &ctx, input);
-        assert_eq!(end, SessionEnd::Ok);
-        assert!(!resp.replayed);
-        assert_eq!(resp.events_committed, 48);
-        assert_eq!(resp.report_hash, clean.report_hash);
-        assert_eq!(registry.counter("journal.sessions_resumed").get(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn concurrent_same_key_is_answered_busy() {
         let dir = journal_tmp("busy");
         let cfg = test_config();
@@ -1253,5 +1209,148 @@ mod tests {
         assert!(resp.retry_after_ms.is_some());
         drop(holder);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupted_keyed_session_resumes_from_list_or_digest_checkpoint() {
+        use crate::journal::{checkpoint_payload, encode_record, REC_CHECKPOINT_LIST};
+        use pm_workloads::{record_trace, BTree};
+        use pmdebugger::encode_reports;
+        let cfg = test_config();
+        let trace = record_trace(&BTree::new(3), 500);
+        let bytes = to_binary(&trace);
+        let (_, clean) = run(&cfg, bytes.clone());
+        let events = trace.events();
+        let mut session = DetectSession::new(DebuggerConfig::for_model(cfg.model));
+        let first = session.feed(&events[..4096]);
+        // A type-1 record as older daemons wrote it: the cumulative
+        // committed report list where type 3 has the digest.
+        let (ckpt, list) = (session.checkpoint().to_bytes(), encode_reports(&first));
+        let legacy = encode_record(
+            REC_CHECKPOINT_LIST,
+            &checkpoint_payload("k", 4096, &ckpt, &list),
+        );
+        let mut second = first.clone();
+        second.extend(session.feed(&events[4096..8192]));
+        assert!(!first.is_empty() && second.len() > first.len());
+
+        // A daemon crashed mid-session, leaving no verdict: the client
+        // re-pushes the full stream and the pump skips the committed
+        // prefix. A lone type-1 record resumes; a type-3 record after it
+        // wins.
+        for later in [None, Some((8192, session.checkpoint(), &second))] {
+            let dir = journal_tmp(if later.is_some() {
+                "legacy-then-3"
+            } else {
+                "legacy"
+            });
+            let mut wal = crate::journal::JOURNAL_FILE_MAGIC.to_vec();
+            wal.extend_from_slice(&legacy);
+            std::fs::write(dir.join("k.wal"), wal).unwrap();
+            let (committed, reports) = match &later {
+                None => (4096, first.len()),
+                Some((at, checkpoint, reports)) => {
+                    let ctx = keyed_ctx(&dir, MetricsRegistry::new());
+                    let Begin::Fresh(mut sj) = ctx.journal.as_ref().unwrap().begin("k") else {
+                        panic!("expected resumable session");
+                    };
+                    sj.append_checkpoint(*at, checkpoint, &ReportDigest::of(reports));
+                    sj.finish(None);
+                    (*at, reports.len())
+                }
+            };
+            // What `pmdbg recover --json` prints for the key.
+            let json = crate::journal::recover_dir(&dir).unwrap().to_json();
+            let want = format!("\"events_committed\":{committed},\"reports\":{reports},");
+            assert!(json.contains(&want), "{json}");
+
+            let registry = MetricsRegistry::new();
+            let ctx = keyed_ctx(&dir, registry.clone());
+            let mut input = crate::protocol::session_preface("k");
+            input.extend_from_slice(&bytes);
+            let (end, resp) = run_keyed(&cfg, &ctx, input);
+            assert_eq!(end, SessionEnd::Ok);
+            assert!(!resp.replayed);
+            assert_eq!(registry.counter("journal.sessions_resumed").get(), 1);
+            assert_eq!(resp.events_committed, clean.events_committed);
+            assert_eq!(resp.bugs_total, clean.bugs_total);
+            assert_eq!(resp.bug_kinds, clean.bug_kinds);
+            assert_eq!(resp.report_hash, clean.report_hash);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Drives `events` through a keyed pump journaling into a fresh
+    /// directory. Returns the committed digest and, for every checkpoint
+    /// record in the journal file, the length of its committed-reports
+    /// field (the field that follows the `SessionCheckpoint` blob).
+    fn journaled_report_fields(tag: &str, events: &[PmEvent]) -> (ReportDigest, Vec<usize>) {
+        let dir = journal_tmp(tag);
+        let cfg = ServeConfig::new(Listen::Tcp("127.0.0.1:0".into()));
+        let ctx = keyed_ctx(&dir, MetricsRegistry::new());
+        let Begin::Fresh(journal) = ctx.journal.as_ref().unwrap().begin("k") else {
+            panic!("expected fresh session");
+        };
+        let mut pump = DetectPump::new(&cfg, 1);
+        pump.attach_journal(*journal);
+        for event in events {
+            pump.push_event(event.clone());
+        }
+        pump.run_batch(true);
+        let committed = pump.committed;
+        drop(pump);
+        let bytes = std::fs::read(dir.join("k.wal")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fields = Vec::new();
+        let mut pos = crate::journal::JOURNAL_FILE_MAGIC.len();
+        while pos < bytes.len() {
+            // [magic u32][type u8][len u32][payload][crc u32]; the payload
+            // is key field, events varint, checkpoint field, reports field.
+            let len = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap()) as usize;
+            let payload = &bytes[pos + 9..pos + 9 + len];
+            let mut p = 0;
+            for field in 0..3 {
+                let (value, used) = pm_trace::read_varint(&payload[p..]).unwrap();
+                p += used + if field == 1 { 0 } else { value as usize };
+            }
+            fields.push(payload.len() - p);
+            pos += 9 + len + 4;
+        }
+        (committed, fields)
+    }
+
+    #[test]
+    fn checkpoint_records_do_not_grow_with_committed_reports() {
+        use pm_workloads::{record_trace, BTree};
+        let small = record_trace(&BTree::new(5), 500);
+        let large = record_trace(&BTree::new(5), 8_000);
+        let (few, small_fields) = journaled_report_fields("size-small", small.events());
+        let (many, large_fields) = journaled_report_fields("size-large", large.events());
+        assert!(few.total() > 0, "the small stream commits reports");
+        assert!(
+            many.total() >= 16 * few.total(),
+            "{} vs {}",
+            many.total(),
+            few.total()
+        );
+        // The reports field is the fixed-size digest: every record of
+        // both runs carries the same number of bytes for it, at N and at
+        // 16N committed reports alike.
+        let width = small_fields[0];
+        assert!(
+            small_fields
+                .iter()
+                .chain(&large_fields)
+                .all(|&len| len == width),
+            "{small_fields:?} {large_fields:?}"
+        );
+
+        // The journaled digest is the uninterrupted run's verdict.
+        let mut session = DetectSession::new(DebuggerConfig::for_model(
+            pmdebugger::PersistencyModel::Strict,
+        ));
+        let mut reports = session.feed(large.events());
+        reports.extend(session.finish());
+        assert_eq!(many, ReportDigest::of(&reports));
     }
 }

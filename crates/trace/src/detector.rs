@@ -206,23 +206,88 @@ pub trait Detector {
     }
 }
 
-/// Order-independent-free (position-sensitive) hash of a report list: FNV-1a
-/// over each report's display form. Two runs produce the same hash iff they
-/// produced byte-identical report lists in the same order — the equivalence
-/// check recorded by the parallel bench gate.
+/// Position-sensitive hash of a report list: FNV-1a over each report's
+/// display form. Two runs produce the same hash iff they produced
+/// byte-identical report lists in the same order — the equivalence check
+/// recorded by the parallel bench gate. Folds through [`ReportDigest`].
 pub fn report_hash(reports: &[BugReport]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for report in reports {
-        for byte in report.to_string().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+    ReportDigest::of(reports).hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Everything a verdict reads from a report list — per-kind counts and
+/// the running [`report_hash`] state — folded one report at a time, so
+/// a long-running consumer (a serve session, a journal record) keeps a
+/// fixed-size digest instead of the list itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportDigest {
+    /// Report counts indexed like [`BugKind::ALL`].
+    pub counts: [u64; BugKind::ALL.len()],
+    /// FNV-1a state; equals [`report_hash`] of the reports pushed so far.
+    pub hash: u64,
+}
+
+impl Default for ReportDigest {
+    fn default() -> Self {
+        ReportDigest {
+            counts: [0; BugKind::ALL.len()],
+            hash: FNV_OFFSET,
         }
-        hash ^= 0xff; // record separator
-        hash = hash.wrapping_mul(FNV_PRIME);
     }
-    hash
+}
+
+impl ReportDigest {
+    /// Folds one more report (in list order) into the digest.
+    pub fn push(&mut self, report: &BugReport) {
+        self.counts[report.kind as usize] += 1;
+        // 0xff separates records.
+        for byte in report.to_string().bytes().chain([0xff]) {
+            self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest of a whole report list.
+    pub fn of(reports: &[BugReport]) -> Self {
+        let mut digest = ReportDigest::default();
+        for report in reports {
+            digest.push(report);
+        }
+        digest
+    }
+
+    /// Reports folded so far.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// The kinds that fired at least once, with their counts, in
+    /// [`BugKind::ALL`] order.
+    pub fn kinds(&self) -> impl Iterator<Item = (BugKind, u64)> {
+        BugKind::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// The run manifest's view of the digest.
+    pub fn to_bug_digest(&self) -> pm_obs::BugDigest {
+        let mut digest = pm_obs::BugDigest {
+            total: self.total(),
+            report_hash: format!("{:016x}", self.hash),
+            ..pm_obs::BugDigest::default()
+        };
+        for (kind, count) in self.kinds() {
+            if kind.is_correctness() {
+                digest.correctness += count;
+            } else {
+                digest.performance += count;
+            }
+            digest.kinds.insert(kind.name().to_owned(), count);
+        }
+        digest
+    }
 }
 
 /// A detector that does nothing — the paper's "Nulgrind" configuration
@@ -314,6 +379,30 @@ mod tests {
         assert!(text.contains("redundant-flushes"));
         assert!(text.contains("0x40"));
         assert!(text.contains("#17"));
+    }
+
+    #[test]
+    fn digest_folds_counts_and_the_report_hash() {
+        for (i, kind) in BugKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "counts are indexed like ALL");
+        }
+        let reports = [
+            BugReport::new(BugKind::RedundantFlushes, "twice").with_event(3),
+            BugReport::new(BugKind::NoDurabilityGuarantee, "unflushed").with_range(0x40, 8),
+            BugReport::new(BugKind::RedundantFlushes, "again").with_event(9),
+        ];
+        let bugs = ReportDigest::of(&reports).to_bug_digest();
+        assert_eq!((bugs.total, bugs.correctness, bugs.performance), (3, 1, 2));
+        assert_eq!(bugs.kinds.len(), 2);
+        assert_eq!(bugs.kinds["redundant-flushes"], 2);
+        assert_eq!(bugs.report_hash, format!("{:016x}", report_hash(&reports)));
+        let mut reversed = reports.clone();
+        reversed.reverse();
+        assert_ne!(
+            report_hash(&reversed),
+            report_hash(&reports),
+            "position-sensitive"
+        );
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub use characterize::{
     CharacterizationReport, DistanceHistogram, FenceIntervalHistogram, TraceCharacterizer,
 };
 pub use detector::{
-    report_hash, BugKind, BugReport, CountingDetector, Detector, NopDetector, Severity,
+    report_hash, BugKind, BugReport, CountingDetector, Detector, NopDetector, ReportDigest,
+    Severity,
 };
 pub use events::{Addr, FenceKind, PmEvent, PmEventRef, StrandId, ThreadId, CAS_PUBLISH_WINDOW};
 pub use format::{from_text, parse_line, to_text, ParseTraceError};

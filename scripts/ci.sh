@@ -164,7 +164,7 @@ SWEEP_RUNS=(
   "supervise 200 -"
   "serve 200 ok_sessions=150,quarantined_sessions=25,hash_checks=175,frames_lost_total=910,retries_total=54"
   "thread-crash 100 -"
-  "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=72,torn_discarded_total=42"
+  "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=71,torn_discarded_total=42"
   "mem-pressure 100 verdict_divergence"
 )
 

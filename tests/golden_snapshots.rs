@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use pm_bugs::{corpus, BugCase};
-use pm_obs::{BugDigest, MetricsRegistry, RunManifest};
-use pm_trace::{BugReport, BugSummary, Detector};
+use pm_obs::{MetricsRegistry, RunManifest};
+use pm_trace::{BugSummary, Detector, ReportDigest};
 use pmdebugger::{
     detect_supervised, DebuggerConfig, FailMode, FaultKind, FaultPlan, InjectedFault,
     ParallelConfig, PersistencyModel, PmDebugger, SupervisorConfig,
@@ -42,55 +42,43 @@ fn model_label(model: PersistencyModel) -> &'static str {
     }
 }
 
-/// Replays one corpus case through the instrumented sequential engine and
-/// renders its two golden artifacts: the human bug summary and the
-/// (timing-redacted) run manifest JSON.
-fn bug_digest(reports: &[BugReport]) -> BugDigest {
-    let mut digest = BugDigest {
-        total: reports.len() as u64,
-        report_hash: format!("{:016x}", pm_trace::report_hash(reports)),
-        ..BugDigest::default()
-    };
-    for report in reports {
-        if report.severity == pm_trace::Severity::Correctness {
-            digest.correctness += 1;
-        } else {
-            digest.performance += 1;
-        }
-        *digest
-            .kinds
-            .entry(report.kind.name().to_owned())
-            .or_insert(0) += 1;
-    }
-    digest
-}
-
+/// Renders one corpus case's two golden artifacts: the human bug summary
+/// and the (timing-redacted) run manifest JSON.
 fn render_case(case: &BugCase) -> (String, String) {
-    let registry = MetricsRegistry::new();
     let mut config = DebuggerConfig::for_model(case.model);
     if let Some(spec) = &case.order_spec {
         config = config.with_order_spec(spec.clone());
     }
+    let (_, summary, manifest) = render_sequential(&case.trace, config, &case.id, 1);
+    (summary, manifest)
+}
+
+/// Replays `trace` through the instrumented sequential engine; returns
+/// the reports, the bug summary and the timing-redacted manifest JSON.
+fn render_sequential(
+    trace: &pm_trace::Trace,
+    config: DebuggerConfig,
+    workload: &str,
+    threads: u64,
+) -> (Vec<pm_trace::BugReport>, String, String) {
+    let registry = MetricsRegistry::new();
+    let model = model_label(config.model);
     let mut detector = PmDebugger::with_metrics(config, &registry);
-    for (seq, event) in case.trace.events().iter().enumerate() {
+    for (seq, event) in trace.events().iter().enumerate() {
         detector.on_event(seq as u64, event);
     }
     let reports = detector.finish();
-
-    for (kind, count) in case.trace.kind_counts() {
+    for (kind, count) in trace.kind_counts() {
         registry.counter(&format!("events.{kind}")).add(count);
     }
-
-    let digest = bug_digest(&reports);
-
-    let mut manifest = RunManifest::new("pmdebugger", &case.id, model_label(case.model));
-    manifest.ops = case.trace.len() as u64;
+    let mut manifest = RunManifest::new("pmdebugger", workload, model);
+    manifest.ops = trace.len() as u64;
+    manifest.threads = threads;
     manifest.absorb_snapshot(&registry.snapshot());
-    manifest.bugs = digest;
+    manifest.bugs = ReportDigest::of(&reports).to_bug_digest();
     manifest.redact_timings();
-
-    let summary = BugSummary::from_reports(reports).to_string();
-    (summary, format!("{}\n", manifest.to_json()))
+    let summary = BugSummary::from_reports(reports.clone()).to_string();
+    (reports, summary, format!("{}\n", manifest.to_json()))
 }
 
 fn golden_dir() -> PathBuf {
@@ -270,16 +258,27 @@ fn ingest_elapsed_is_populated_identically_across_batch_and_streaming() {
 /// manifest pins the `supervisor.*` counter block next to the usual
 /// routing, bookkeeping and verdict counters.
 fn render_degraded_run() -> String {
-    let workload = pm_workloads::HashmapAtomic::default();
-    let trace = pm_workloads::record_trace(&workload, 64);
-    let config = DebuggerConfig::for_model(PersistencyModel::Epoch);
+    let trace = pm_workloads::record_trace(&pm_workloads::HashmapAtomic::default(), 64);
+    render_degraded(&trace, PersistencyModel::Epoch, 1, "hashmap_atomic", 64)
+}
+
+/// Runs supervised detection over `trace` at 4 threads in degrade mode,
+/// with `worker` panicking on every attempt slot, and renders the
+/// timing-redacted manifest of the (necessarily degraded) run.
+fn render_degraded(
+    trace: &pm_trace::Trace,
+    model: PersistencyModel,
+    worker: u32,
+    workload: &str,
+    ops: u64,
+) -> String {
     let sup = SupervisorConfig::default()
         .with_max_retries(1)
         .with_fail_mode(FailMode::Degrade);
     let faults = FaultPlan::new(
         (0..sup.total_attempts())
             .map(|attempt| InjectedFault {
-                worker: 1,
+                worker,
                 attempt,
                 after_events: 0,
                 kind: FaultKind::Panic,
@@ -287,34 +286,32 @@ fn render_degraded_run() -> String {
             .collect(),
     );
     let result = detect_supervised(
-        &config,
+        &DebuggerConfig::for_model(model),
         &ParallelConfig::with_threads(4),
         &sup,
         Some(&faults),
-        &trace,
+        trace,
     )
     .expect("degrade mode completes");
-    assert!(result.is_degraded(), "worker 1 must be quarantined");
+    assert!(result.is_degraded(), "worker {worker} must be quarantined");
 
     let registry = MetricsRegistry::new();
     for (kind, count) in trace.kind_counts() {
         registry.counter(&format!("events.{kind}")).add(count);
     }
     result.export_metrics(&registry);
-    let reports = &result.outcome.reports;
-    let mut by_kind = BTreeMap::new();
-    for report in reports {
-        *by_kind.entry(report.kind.name()).or_insert(0u64) += 1;
-    }
-    for (kind, count) in by_kind {
-        registry.counter(&format!("rule.{kind}")).add(count);
+    let digest = ReportDigest::of(&result.outcome.reports);
+    for (kind, count) in digest.kinds() {
+        registry
+            .counter(&format!("rule.{}", kind.name()))
+            .add(count);
     }
 
-    let mut manifest = RunManifest::new("pmdebugger-supervised", "hashmap_atomic", "epoch");
-    manifest.ops = 64;
+    let mut manifest = RunManifest::new("pmdebugger-supervised", workload, model_label(model));
+    manifest.ops = ops;
     manifest.threads = 4;
     manifest.absorb_snapshot(&registry.snapshot());
-    manifest.bugs = bug_digest(reports);
+    manifest.bugs = digest.to_bug_digest();
     manifest.redact_timings();
     format!("{}\n", manifest.to_json())
 }
@@ -380,30 +377,13 @@ fn treiber_mt_summary_and_manifest_match_golden_fixtures() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let trace = treiber_mt_trace();
 
-    let registry = MetricsRegistry::new();
     let config = DebuggerConfig::for_model(PersistencyModel::Strict);
-    let mut detector = PmDebugger::with_metrics(config, &registry);
-    for (seq, event) in trace.events().iter().enumerate() {
-        detector.on_event(seq as u64, event);
-    }
-    let reports = detector.finish();
+    let (reports, summary, manifest_json) =
+        render_sequential(&trace, config, "treiber_stack_mt/00", 4);
     assert_eq!(reports.len(), 1, "exactly the seeded handoff bug");
     assert_eq!(reports[0].kind, pm_trace::BugKind::UnpublishedVisible);
     assert_eq!(reports[0].at_event, pm_workloads::handoff_event(&trace));
 
-    for (kind, count) in trace.kind_counts() {
-        registry.counter(&format!("events.{kind}")).add(count);
-    }
-    let digest = bug_digest(&reports);
-    let mut manifest = RunManifest::new("pmdebugger", "treiber_stack_mt/00", "strict");
-    manifest.ops = trace.len() as u64;
-    manifest.threads = 4;
-    manifest.absorb_snapshot(&registry.snapshot());
-    manifest.bugs = digest;
-    manifest.redact_timings();
-
-    let summary = BugSummary::from_reports(reports).to_string();
-    let manifest_json = format!("{}\n", manifest.to_json());
     let mut failures = Vec::new();
     for (suffix, actual) in [("summary.txt", &summary), ("manifest.json", &manifest_json)] {
         let name = format!("treiber_stack_mt_00.{suffix}");
@@ -425,51 +405,14 @@ fn treiber_mt_summary_and_manifest_match_golden_fixtures() {
 fn treiber_mt_degraded_manifest_matches_golden_fixture() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let trace = treiber_mt_trace();
-    let config = DebuggerConfig::for_model(PersistencyModel::Strict);
-    let sup = SupervisorConfig::default()
-        .with_max_retries(1)
-        .with_fail_mode(FailMode::Degrade);
-    let faults = FaultPlan::new(
-        (0..sup.total_attempts())
-            .map(|attempt| InjectedFault {
-                worker: 0,
-                attempt,
-                after_events: 0,
-                kind: FaultKind::Panic,
-            })
-            .collect(),
-    );
-    let result = detect_supervised(
-        &config,
-        &ParallelConfig::with_threads(4),
-        &sup,
-        Some(&faults),
+    let ops = trace.len() as u64;
+    let manifest_json = render_degraded(
         &trace,
-    )
-    .expect("degrade mode completes");
-    assert!(result.is_degraded(), "worker 0 must be quarantined");
-
-    let registry = MetricsRegistry::new();
-    for (kind, count) in trace.kind_counts() {
-        registry.counter(&format!("events.{kind}")).add(count);
-    }
-    result.export_metrics(&registry);
-    let reports = &result.outcome.reports;
-    let mut by_kind = BTreeMap::new();
-    for report in reports {
-        *by_kind.entry(report.kind.name()).or_insert(0u64) += 1;
-    }
-    for (kind, count) in by_kind {
-        registry.counter(&format!("rule.{kind}")).add(count);
-    }
-
-    let mut manifest = RunManifest::new("pmdebugger-supervised", "treiber_stack_mt/00", "strict");
-    manifest.ops = trace.len() as u64;
-    manifest.threads = 4;
-    manifest.absorb_snapshot(&registry.snapshot());
-    manifest.bugs = bug_digest(reports);
-    manifest.redact_timings();
-    let manifest_json = format!("{}\n", manifest.to_json());
+        PersistencyModel::Strict,
+        0,
+        "treiber_stack_mt/00",
+        ops,
+    );
 
     let name = "treiber_stack_mt_degraded_00.manifest.json";
     if let Err(message) = check_or_update(name, &manifest_json, update) {
