@@ -1,35 +1,38 @@
-//! Criterion benchmarks for the torture-campaign engine: crash-point sweep
-//! throughput over a recorded workload trace, and perturbation-oracle
-//! throughput (enumerate + fingerprint + detector differential).
+//! Criterion benchmarks for the crash-points and perturb sweeps:
+//! crash-point throughput over a recorded workload trace (fixed and buggy
+//! variants), and perturbation-oracle throughput (enumerate + fingerprint
+//! + detector differential).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pm_chaos::{apply, perturbations, semantic_fingerprint, Budget, Campaign};
+use pm_chaos::{
+    apply, perturbations, run_sweep, semantic_fingerprint, CrashPointSweep, PerturbSweep, Sweep,
+    SweepOptions,
+};
 use pm_workloads::faults;
 use pmdebugger::PersistencyModel;
 
-fn campaign_sweep(c: &mut Criterion) {
+fn crash_points(c: &mut Criterion) {
     let mut group = c.benchmark_group("chaos_campaign");
+    let opts = SweepOptions::new(64, CrashPointSweep::DEFAULT_SEED);
 
-    let trace = faults::memcached_cas_fixed_trace(30).unwrap();
-    let budget = Budget::default()
-        .with_crash_points(64)
-        .with_images_per_point(8);
-    group.bench_function("memcached_fixed_64_points", |b| {
-        b.iter_batched(
-            || Campaign::new(PersistencyModel::Strict).with_budget(budget.clone()),
-            |campaign| campaign.run("memcached", &trace).unwrap(),
-            BatchSize::SmallInput,
-        );
-    });
-
-    let buggy = faults::memcached_cas_bug_trace(30).unwrap();
-    group.bench_function("memcached_bug_64_points_with_minimization", |b| {
-        b.iter_batched(
-            || Campaign::new(PersistencyModel::Strict).with_budget(budget.clone()),
-            |campaign| campaign.run("memcached-bug", &buggy).unwrap(),
-            BatchSize::SmallInput,
-        );
-    });
+    for (name, trace) in [
+        (
+            "memcached_fixed_64_points",
+            faults::memcached_cas_fixed_trace(30).unwrap(),
+        ),
+        (
+            "memcached_bug_64_points",
+            faults::memcached_cas_bug_trace(30).unwrap(),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || CrashPointSweep::new(trace.clone(), PersistencyModel::Strict).unwrap(),
+                |mut sweep| run_sweep(&mut sweep, &opts),
+                BatchSize::SmallInput,
+            );
+        });
+    }
 
     group.finish();
 }
@@ -53,9 +56,13 @@ fn perturbation_oracle(c: &mut Criterion) {
         });
     });
 
-    let budget = Budget::default().with_perturbations(64);
-    group.bench_function("sensitivity_matrix_64", |b| {
-        b.iter(|| pm_chaos::sensitivity_matrix(&trace, PersistencyModel::Strict, &budget));
+    let opts = SweepOptions::new(64, PerturbSweep::DEFAULT_SEED);
+    group.bench_function("perturb_64_plans", |b| {
+        b.iter_batched(
+            || PerturbSweep::new(trace.clone(), PersistencyModel::Strict).unwrap(),
+            |mut sweep| run_sweep(&mut sweep, &opts),
+            BatchSize::SmallInput,
+        );
     });
 
     group.finish();
@@ -64,6 +71,6 @@ fn perturbation_oracle(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = campaign_sweep, perturbation_oracle
+    targets = crash_points, perturbation_oracle
 );
 criterion_main!(benches);

@@ -55,49 +55,43 @@ fn measure(
 ) -> WorkloadResult {
     let config = DebuggerConfig::for_model(model);
     let events = trace.len();
-    let mut rows = Vec::new();
-    let mut base_secs = 0.0;
-    let mut base_hash = 0u64;
-    let mut reports = 0;
-    let mut equivalent = true;
-    let mut components = 0;
-
-    for &threads in &THREAD_POINTS {
-        let par = ParallelConfig::with_threads(threads);
-        let mut wall_best = f64::MAX;
-        let mut outcome = None;
-        for _ in 0..repeats {
+    // Repeats alternate over the thread counts (1, 2, 4, 8, 1, 2, ...), so
+    // host drift during the measurement lands on every row alike instead
+    // of on whichever thread count happened to run last.
+    let mut wall_best = [f64::MAX; THREAD_POINTS.len()];
+    let mut outcomes = Vec::new();
+    for repeat in 0..repeats {
+        for (i, &threads) in THREAD_POINTS.iter().enumerate() {
+            let par = ParallelConfig::with_threads(threads);
             let start = Instant::now();
             let out = detect_parallel(&config, &par, trace);
-            wall_best = wall_best.min(start.elapsed().as_secs_f64());
-            outcome = Some(out);
+            wall_best[i] = wall_best[i].min(start.elapsed().as_secs_f64());
+            if repeat + 1 == repeats {
+                outcomes.push(out);
+            }
         }
-        let outcome = outcome.expect("at least one repeat");
-        let hash = report_hash(&outcome.reports);
-
-        if threads == 1 {
-            base_secs = wall_best;
-            base_hash = hash;
-            reports = outcome.reports.len();
-        } else {
-            equivalent &= hash == base_hash;
-            components = outcome.components;
-        }
-        rows.push(Row {
-            threads,
-            wall_ms: wall_best * 1e3,
-            events_per_sec: events as f64 / wall_best.max(1e-9),
-            speedup: base_secs / wall_best.max(1e-9),
-        });
     }
+
+    let hashes: Vec<u64> = outcomes.iter().map(|o| report_hash(&o.reports)).collect();
+    let base_secs = wall_best[0];
+    let rows = THREAD_POINTS
+        .iter()
+        .zip(wall_best)
+        .map(|(&threads, wall)| Row {
+            threads,
+            wall_ms: wall * 1e3,
+            events_per_sec: events as f64 / wall.max(1e-9),
+            speedup: base_secs / wall.max(1e-9),
+        })
+        .collect();
 
     WorkloadResult {
         name,
         events,
-        components,
-        reports,
-        report_hash: base_hash,
-        equivalent,
+        components: outcomes.last().expect("at least one repeat").components,
+        reports: outcomes[0].reports.len(),
+        report_hash: hashes[0],
+        equivalent: hashes.iter().all(|&h| h == hashes[0]),
         rows,
     }
 }

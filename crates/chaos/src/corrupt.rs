@@ -33,9 +33,8 @@ use pm_trace::{
 };
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
-use crate::budget::splitmix64;
 use crate::error::ChaosError;
-use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
 
 /// Per-image wall-clock ceiling handed to the salvage reader. Generous —
 /// the fixtures are small — but finite, so a reader bug that loops shows

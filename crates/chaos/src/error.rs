@@ -1,8 +1,8 @@
 //! Typed errors for the torture-campaign machinery.
 //!
-//! Campaign code never panics on adversarial input: malformed traces,
-//! oversized address spaces and empty inputs all surface here, and
-//! resource exhaustion inside an otherwise healthy run is reported as a
+//! Sweep setup never panics on adversarial input: oversized address
+//! spaces and empty inputs surface here, and a wall clock that runs out
+//! inside an otherwise healthy sweep is reported as a
 //! [`crate::Truncation`] on a partial result rather than an error.
 
 use std::fmt;
@@ -10,7 +10,7 @@ use std::fmt;
 use pm_trace::RuntimeError;
 use pmem_sim::PmemError;
 
-/// Error cases a campaign or perturbation run can hit.
+/// Error cases a sweep's setup can hit.
 #[derive(Debug)]
 pub enum ChaosError {
     /// The workload run that should have produced the trace failed.
@@ -19,9 +19,8 @@ pub enum ChaosError {
     Pmem(PmemError),
     /// The input trace has no events to crash into.
     EmptyTrace,
-    /// The trace touches more distinct cache lines than the budget's pool
-    /// cap allows even after line compaction; raise
-    /// [`crate::Budget::max_pool_lines`] to proceed.
+    /// The trace touches more distinct cache lines than the replay pool's
+    /// cap allows even after line compaction.
     PoolExhausted {
         /// Distinct cache lines the trace touches.
         lines: usize,

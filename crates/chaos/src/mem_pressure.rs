@@ -31,8 +31,9 @@ use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, GovernorConfig, GovernorCounters, MemGovernor, PersistencyModel};
 
-use crate::budget::splitmix64;
-use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
+use crate::sweep::{
+    batch_reports, hash_hex, splitmix64, temp_path, Sweep, SweepViolation, Tallies,
+};
 
 /// The memory scenario one plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

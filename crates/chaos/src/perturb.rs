@@ -5,18 +5,17 @@
 //! place, tear a store, move a fence out of its epoch). The oracle then
 //! asks: did the mutation change the trace's persistence semantics
 //! ([`crate::semantic_fingerprint`]), and if so, does each detector flag
-//! it? The result is a [`SensitivityMatrix`] — per fault class, per
-//! detector, how many injections were detected, missed, or benign.
-
-use std::collections::BTreeMap;
+//! it? [`PerturbSweep`] runs that oracle once per candidate perturbation
+//! and tallies, per fault class and per detector, how many injections were
+//! detected, missed, or benign.
 
 use pm_baselines::{PmemcheckLike, PmtestLike, XfdetectorLike};
-use pm_obs::json::escape;
 use pm_trace::{Detector, PmEvent, ReportDigest, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
-use crate::budget::{Budget, Truncation};
-use crate::validate::semantic_fingerprint;
+use crate::error::ChaosError;
+use crate::sweep::{Sweep, SweepViolation, Tallies};
+use crate::validate::{semantic_fingerprint, Fingerprint};
 
 /// The injected fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,7 +39,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All classes, in matrix row order.
+    /// All classes.
     pub const ALL: [FaultClass; 7] = [
         FaultClass::DropFlush,
         FaultClass::DropFence,
@@ -204,193 +203,145 @@ pub fn apply(trace: &Trace, perturbation: &Perturbation) -> Option<Trace> {
     Some(out)
 }
 
-/// Per-fault-class row of the sensitivity matrix.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassRow {
-    /// Perturbations of this class applied.
-    pub injected: usize,
-    /// Perturbations that left the semantic fingerprint unchanged.
-    pub benign: usize,
-    /// Semantic perturbations flagged, per detector name.
-    pub detected: BTreeMap<String, usize>,
-    /// Semantic perturbations missed, per detector name.
-    pub missed: BTreeMap<String, usize>,
-}
+/// The detectors the oracle cross-checks, in the order
+/// [`PerturbOutcome`] flags them. PMDebugger runs with the sweep's model;
+/// the baselines run their fixed architectures.
+pub const DETECTORS: [&str; 4] = ["pmdebugger", "pmemcheck", "pmtest", "xfdetector"];
 
-/// The differential-oracle result: per fault class, how each detector
-/// responded to the injections.
-#[derive(Debug, Clone, Default)]
-pub struct SensitivityMatrix {
-    /// Rows keyed by [`FaultClass::name`].
-    pub rows: BTreeMap<&'static str, ClassRow>,
-    /// Events in the base trace.
-    pub trace_len: usize,
-    /// Structurally invalid events PMDebugger tolerated (graceful
-    /// degradation counter) across all perturbed runs.
-    pub malformed_tolerated: u64,
-    /// Budget bounds that bit during the sweep.
-    pub truncations: Vec<Truncation>,
-}
-
-impl SensitivityMatrix {
-    /// Semantic injections missed by the named detector, across classes.
-    pub fn missed_by(&self, detector: &str) -> usize {
-        self.rows
-            .values()
-            .map(|row| row.missed.get(detector).copied().unwrap_or(0))
-            .sum()
-    }
-
-    /// Serializes the matrix as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"trace_len\":");
-        out.push_str(&self.trace_len.to_string());
-        out.push_str(&format!(
-            ",\"malformed_tolerated\":{}",
-            self.malformed_tolerated
-        ));
-        out.push_str(",\"rows\":{");
-        for (i, (class, row)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"injected\":{},\"benign\":{},\"detected\":{{",
-                escape(class),
-                row.injected,
-                row.benign
-            ));
-            for (j, (detector, count)) in row.detected.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", escape(detector), count));
-            }
-            out.push_str("},\"missed\":{");
-            for (j, (detector, count)) in row.missed.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", escape(detector), count));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("},\"truncations\":[");
-        for (i, truncation) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&escape(&truncation.to_string()));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// The detectors the oracle cross-checks. PMDebugger runs with the given
-/// model; the baselines run their fixed architectures.
-fn detector_stack(model: PersistencyModel) -> Vec<(&'static str, Box<dyn Detector>)> {
-    vec![
-        (
-            "pmdebugger",
-            Box::new(PmDebugger::new(DebuggerConfig::for_model(model))) as Box<dyn Detector>,
-        ),
-        ("pmemcheck", Box::new(PmemcheckLike::new())),
-        ("pmtest", Box::new(PmtestLike::new())),
-        (
-            "xfdetector",
-            Box::new(XfdetectorLike::new(Default::default())),
-        ),
+fn detector_stack(model: PersistencyModel) -> [Box<dyn Detector>; 4] {
+    [
+        Box::new(PmDebugger::new(DebuggerConfig::for_model(model))),
+        Box::new(PmemcheckLike::new()),
+        Box::new(PmtestLike::new()),
+        Box::new(XfdetectorLike::new(Default::default())),
     ]
 }
 
-/// Runs the differential oracle over every (budget-bounded) single-event
-/// perturbation of `trace` and tabulates detector sensitivity.
-pub fn sensitivity_matrix(
-    trace: &Trace,
+/// Per-kind report counts of each detector in the stack over `trace`.
+fn detector_counts(trace: &Trace, model: PersistencyModel) -> [ReportDigest; 4] {
+    detector_stack(model).map(|mut detector| {
+        let mut digest = ReportDigest::default();
+        for report in &pm_trace::replay_finish(trace, detector.as_mut()) {
+            digest.count(report);
+        }
+        digest
+    })
+}
+
+/// What one perturbation did: `None` when it left the semantic
+/// fingerprint unchanged (benign), otherwise which detectors, in
+/// [`DETECTORS`] order, flagged the mutated trace.
+pub type PerturbOutcome = Option<[bool; 4]>;
+
+/// The perturbation sweep over one clean trace: the detector
+/// differential, one single-event perturbation per plan.
+///
+/// Plan `i` is candidate `i` of [`perturbations`], whatever the seed. Each
+/// plan tallies `<class>.injected`, then either `<class>.benign` or, per
+/// detector, `<class>.<detector>_detected` / `<class>.<detector>_missed`;
+/// a semantic perturbation no detector flagged also counts as
+/// `<class>.escaped`. A perturbation is flagged when the detector reports
+/// a kind more often than over the clean trace. Detector blind spots are
+/// tallies, not violations: they describe the tools, not a broken
+/// invariant. A detector panic on a mutated stream is an abort.
+#[derive(Debug)]
+pub struct PerturbSweep {
+    trace: Trace,
     model: PersistencyModel,
-    budget: &Budget,
-) -> SensitivityMatrix {
-    let mut matrix = SensitivityMatrix {
-        trace_len: trace.len(),
-        ..SensitivityMatrix::default()
-    };
-    for class in FaultClass::ALL {
-        matrix.rows.insert(class.name(), ClassRow::default());
-    }
+    candidates: Vec<Perturbation>,
+    fingerprint: Fingerprint,
+    base: [ReportDigest; 4],
+}
 
-    let base_fingerprint = semantic_fingerprint(trace);
-    // Baseline signature per detector: a perturbation is "detected" when it
-    // produces a report the clean trace did not (new kind or higher count).
-    let base_signatures: BTreeMap<&'static str, ReportDigest> = detector_stack(model)
-        .into_iter()
-        .map(|(name, mut detector)| {
-            (
-                name,
-                ReportDigest::of(&pm_trace::replay_finish(trace, detector.as_mut())),
-            )
+impl PerturbSweep {
+    /// Enumerates the perturbations of `trace` and replays the clean
+    /// trace once through every detector.
+    ///
+    /// # Errors
+    ///
+    /// [`ChaosError::EmptyTrace`] when the trace has no events.
+    pub fn new(trace: Trace, model: PersistencyModel) -> Result<Self, ChaosError> {
+        if trace.is_empty() {
+            return Err(ChaosError::EmptyTrace);
+        }
+        Ok(PerturbSweep {
+            candidates: perturbations(&trace),
+            fingerprint: semantic_fingerprint(&trace),
+            base: detector_counts(&trace, model),
+            trace,
+            model,
         })
-        .collect();
+    }
+}
 
-    let clock = budget.start_clock();
-    let candidates = perturbations(trace);
-    let tested = candidates.len().min(budget.max_perturbations);
-    if tested < candidates.len() {
-        matrix.truncations.push(Truncation::PerturbationsSampled {
-            tested,
-            total: candidates.len(),
-        });
+impl Sweep for PerturbSweep {
+    const NAME: &'static str = "perturb";
+    const DEFAULT_SEED: u64 = 0xC4A05;
+    const DEFAULT_PLANS: usize = 512;
+    type Plan = Perturbation;
+    type Outcome = PerturbOutcome;
+
+    /// The candidates in trace order: the seed changes nothing.
+    fn plans(&self, _seed: u64) -> Box<dyn Iterator<Item = Perturbation>> {
+        Box::new(self.candidates.clone().into_iter())
     }
 
-    for (done, perturbation) in candidates.iter().take(tested).enumerate() {
-        if clock.expired() {
-            matrix.truncations.push(Truncation::WallClockExpired {
-                tested: done,
-                total: tested,
-            });
-            break;
-        }
-        let Some(mutated) = apply(trace, perturbation) else {
-            continue;
-        };
-        let row = matrix
-            .rows
-            .get_mut(perturbation.class.name())
-            .expect("all classes pre-inserted");
-        row.injected += 1;
+    fn kind(plan: &Perturbation) -> &'static str {
+        plan.class.name()
+    }
 
-        if semantic_fingerprint(&mutated) == base_fingerprint {
-            row.benign += 1;
-            continue;
+    fn run(&mut self, plan: &Perturbation) -> PerturbOutcome {
+        let mutated = apply(&self.trace, plan).expect("enumerated perturbations apply");
+        if semantic_fingerprint(&mutated) == self.fingerprint {
+            return None;
         }
-        for (name, mut detector) in detector_stack(model) {
-            let reports = pm_trace::replay_finish(&mutated, detector.as_mut());
-            let signature = ReportDigest::of(&reports);
-            let base = &base_signatures[name];
-            let flagged = signature
+        let counts = detector_counts(&mutated, self.model);
+        Some(std::array::from_fn(|i| {
+            counts[i]
                 .counts
                 .iter()
-                .zip(base.counts)
-                .any(|(&count, base_count)| base_count < count);
-            let bucket = if flagged {
-                &mut row.detected
-            } else {
-                &mut row.missed
-            };
-            *bucket.entry(name.to_owned()).or_insert(0) += 1;
-        }
-        // The graceful-degradation counter: re-run PMDebugger concretely to
-        // read how many malformed events it tolerated.
-        let mut concrete = PmDebugger::new(DebuggerConfig::for_model(model));
-        pm_trace::replay(&mutated, &mut concrete);
-        matrix.malformed_tolerated += concrete.malformed_events();
+                .zip(self.base[i].counts)
+                .any(|(&count, base)| base < count)
+        }))
     }
-    matrix
+
+    fn check(
+        &self,
+        plan: &Perturbation,
+        outcome: &PerturbOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        let class = plan.class.name();
+        tallies.add(&format!("{class}.injected"), 1);
+        match outcome {
+            None => tallies.add(&format!("{class}.benign"), 1),
+            Some(flagged) => {
+                for (name, &hit) in DETECTORS.iter().zip(flagged) {
+                    let verdict = if hit { "detected" } else { "missed" };
+                    tallies.add(&format!("{class}.{name}_{verdict}"), 1);
+                }
+                if !flagged.contains(&true) {
+                    tallies.add(&format!("{class}.escaped"), 1);
+                }
+            }
+        }
+        Vec::new()
+    }
+
+    fn finish(&mut self, tallies: &mut Tallies) -> Vec<SweepViolation> {
+        for class in FaultClass::ALL {
+            for key in ["injected", "benign", "escaped"] {
+                tallies.add(&format!("{}.{key}", class.name()), 0);
+            }
+        }
+        Vec::new()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{assert_json_keys, run_sweep, SweepOptions, SweepReport};
     use pm_trace::PmRuntime;
     use pmem_sim::FlushKind;
 
@@ -466,24 +417,43 @@ mod tests {
         );
     }
 
+    fn sweep_clean(ops: usize) -> SweepReport {
+        let mut sweep = PerturbSweep::new(clean_trace(ops), PersistencyModel::Strict).unwrap();
+        run_sweep(&mut sweep, &SweepOptions::new(512, 1))
+    }
+
     #[test]
-    fn matrix_counts_sum_and_render() {
-        let trace = clean_trace(3);
-        let matrix = sensitivity_matrix(&trace, PersistencyModel::Strict, &Budget::default());
-        for row in matrix.rows.values() {
-            let judged: usize = row.detected.get("pmdebugger").copied().unwrap_or(0)
-                + row.missed.get("pmdebugger").copied().unwrap_or(0);
-            assert_eq!(judged + row.benign, row.injected, "{matrix:?}");
+    fn tallies_add_up_per_class() {
+        let report = sweep_clean(3);
+        assert!(report.ok(), "{}", report.to_json());
+        assert_eq!(report.plans_run, 18);
+        for class in FaultClass::ALL {
+            let class = class.name();
+            let tally = |key: &str| report.tally(&format!("{class}.{key}"));
+            for detector in DETECTORS {
+                let judged =
+                    tally(&format!("{detector}_detected")) + tally(&format!("{detector}_missed"));
+                assert_eq!(judged + tally("benign"), tally("injected"), "{class}");
+            }
+            assert_eq!(tally("injected"), report.mix(class));
         }
-        let json = matrix.to_json();
-        assert!(json.contains("\"drop-flush\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_json_keys(&report, &["swap-epoch-markers", "escaped"]);
     }
 
     #[test]
     fn pmdebugger_catches_every_semantic_injection_on_clean_ops() {
-        let trace = clean_trace(4);
-        let matrix = sensitivity_matrix(&trace, PersistencyModel::Strict, &Budget::default());
-        assert_eq!(matrix.missed_by("pmdebugger"), 0, "{matrix:?}");
+        let report = sweep_clean(4);
+        for class in FaultClass::ALL {
+            let missed = report.tally(&format!("{}.pmdebugger_missed", class.name()));
+            assert_eq!(missed, 0, "{}", report.to_json());
+        }
+    }
+
+    #[test]
+    fn empty_trace_is_rejected() {
+        assert!(matches!(
+            PerturbSweep::new(Trace::new(), PersistencyModel::Strict),
+            Err(ChaosError::EmptyTrace)
+        ));
     }
 }

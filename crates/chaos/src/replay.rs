@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use pm_trace::PmEvent;
 use pmem_sim::{line_base, lines_covering, PmPool, CACHE_LINE_SIZE};
 
-use crate::budget::{splitmix64, Budget};
 use crate::error::ChaosError;
+use crate::sweep::splitmix64;
 
 /// One per-line piece of an original address range in the compact pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct Segment {
 }
 
 /// Line-compaction map: original line base ⇄ compact line base.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct LineMap {
     forward: HashMap<u64, u64>,
     origins: Vec<u64>,
@@ -105,25 +105,26 @@ impl LineMap {
 
 /// Replay state: the compact pool plus the address mapping, handed to
 /// recovery validators as their read-only view of the simulated machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReplayContext {
     pool: PmPool,
     map: LineMap,
 }
 
 impl ReplayContext {
-    /// Builds the context for (a prefix of) a trace under `budget`.
+    /// Builds the context for (a prefix of) a trace, in a compact pool of
+    /// at most `max_pool_lines` cache lines.
     ///
     /// # Errors
     ///
     /// [`ChaosError::EmptyTrace`] for an empty event slice and
-    /// [`ChaosError::PoolExhausted`] when the trace touches more lines than
-    /// [`Budget::max_pool_lines`].
-    pub fn new(events: &[PmEvent], budget: &Budget) -> Result<ReplayContext, ChaosError> {
+    /// [`ChaosError::PoolExhausted`] when the trace touches more than
+    /// `max_pool_lines` distinct lines.
+    pub fn new(events: &[PmEvent], max_pool_lines: usize) -> Result<ReplayContext, ChaosError> {
         if events.is_empty() {
             return Err(ChaosError::EmptyTrace);
         }
-        let map = LineMap::build(events, budget.max_pool_lines)?;
+        let map = LineMap::build(events, max_pool_lines)?;
         // Traces with no store/flush still need a nonzero pool to crash into.
         let size = (map.lines().max(1) as u64) * CACHE_LINE_SIZE;
         let pool = PmPool::new(size)?;
@@ -218,7 +219,7 @@ mod tests {
     #[test]
     fn compaction_maps_distant_lines_into_a_tiny_pool() {
         let trace = tiny_trace();
-        let ctx = ReplayContext::new(trace.events(), &Budget::default()).unwrap();
+        let ctx = ReplayContext::new(trace.events(), 1 << 16).unwrap();
         assert_eq!(ctx.map().lines(), 2);
         assert_eq!(ctx.pool().size(), 128);
     }
@@ -226,7 +227,7 @@ mod tests {
     #[test]
     fn replay_reaches_the_persistent_image() {
         let trace = tiny_trace();
-        let mut ctx = ReplayContext::new(trace.events(), &Budget::default()).unwrap();
+        let mut ctx = ReplayContext::new(trace.events(), 1 << 16).unwrap();
         for (seq, event) in trace.events().iter().enumerate() {
             ctx.apply(seq as u64, event);
         }
@@ -252,7 +253,7 @@ mod tests {
     #[test]
     fn read_volatile_reassembles_original_ranges() {
         let trace = tiny_trace();
-        let mut ctx = ReplayContext::new(trace.events(), &Budget::default()).unwrap();
+        let mut ctx = ReplayContext::new(trace.events(), 1 << 16).unwrap();
         for (seq, event) in trace.events().iter().enumerate() {
             ctx.apply(seq as u64, event);
         }
@@ -263,11 +264,7 @@ mod tests {
     #[test]
     fn pool_cap_is_a_typed_error() {
         let trace = tiny_trace();
-        let budget = Budget {
-            max_pool_lines: 1,
-            ..Budget::default()
-        };
-        match ReplayContext::new(trace.events(), &budget) {
+        match ReplayContext::new(trace.events(), 1) {
             Err(ChaosError::PoolExhausted { cap: 1, .. }) => {}
             other => panic!("expected PoolExhausted, got {other:?}"),
         }
@@ -276,7 +273,7 @@ mod tests {
     #[test]
     fn empty_trace_is_a_typed_error() {
         assert!(matches!(
-            ReplayContext::new(&[], &Budget::default()),
+            ReplayContext::new(&[], 1 << 16),
             Err(ChaosError::EmptyTrace)
         ));
     }

@@ -1,308 +1,263 @@
-//! The crash-point scheduler: sweep a trace, crash everywhere, validate.
+//! The crash-points sweep: replay a trace, crash at its boundaries,
+//! validate every image the hardware could leave behind.
 //!
 //! A *crash boundary* sits after every fundamental event (store, flush,
 //! fence) and after every epoch end — the positions where the persistence
-//! state of the pool can differ. The campaign replays the trace once,
-//! incrementally; at each selected boundary it enumerates the post-crash
-//! images the hardware could expose and runs the recovery validators over
-//! each. Below the crash-point budget the sweep is exhaustive; above it, a
-//! deterministic seeded sample (always including the final boundary) keeps
-//! the cost bounded and the run reproducible.
+//! state of the pool can differ. Plan `i` of seed `s` is the `i`-th
+//! boundary, in ascending order, of a seeded stratified sample of at most
+//! [`Sweep::DEFAULT_PLANS`] boundaries that always includes the end of the
+//! trace (every boundary, when the trace has no more than that). That cap
+//! is fixed: a longer trace is always sampled, and a run of fewer plans
+//! keeps a prefix of the sample, so it crashes only early in the trace.
+//! The `untested` tally counts the boundaries a run did not crash at. A
+//! full run replays the trace once, incrementally. At each plan the sweep
+//! enumerates up to 16 post-crash images and runs the model's
+//! recovery validators over each; a `(validator, addr)` pair seen for the
+//! first time is an `unrecoverable` violation. Event-time findings (e.g.
+//! undo-log discipline) belong to the plan whose stretch of the replay
+//! raised them. [`Sweep::finish`] adds the detector differential: one
+//! `detector-finding` violation per bug kind PMDebugger reports over the
+//! whole trace, so performance bugs with a correct recovery story count
+//! too.
+//!
+//! Replaying plan `i` alone first crashes silently at the sample's earlier
+//! boundaries, so a finding is new at plan `i` exactly when it was new
+//! there in the full run. The detector differential judges the whole
+//! trace, so it comes with every run: a full run stamps it with the last
+//! plan, a replay with the replayed one.
 
 use std::collections::{BTreeSet, HashSet};
 
-use pm_obs::MetricsRegistry;
 use pm_trace::{PmEvent, ReportDigest, Trace};
-use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
+use pmdebugger::{DebuggerConfig, PersistencyModel};
 use pmem_sim::CrashImage;
 
-use crate::budget::{splitmix64, Budget, Truncation};
 use crate::error::ChaosError;
 use crate::replay::ReplayContext;
-use crate::report::{CampaignReport, UnrecoverableState};
+use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
 use crate::validate::{ValidatorSet, Violation};
 
-/// How many unrecoverable states get a minimized reproducing prefix; the
-/// rest keep their discovery boundary (minimization replays the trace once
-/// per state).
-const MINIMIZE_LIMIT: usize = 3;
+/// Post-crash images enumerated per crash point.
+const MAX_IMAGES: usize = 16;
 
-/// A configured torture campaign.
-#[derive(Debug, Clone)]
-pub struct Campaign {
-    model: PersistencyModel,
-    budget: Budget,
-    metrics: Option<MetricsRegistry>,
+/// Distinct cache lines the compacted replay pool may hold.
+const MAX_POOL_LINES: usize = 1 << 16;
+
+/// One crash point of a seed's sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// The seed whose sample the point was drawn from.
+    pub seed: u64,
+    /// Position of the point in that sample (the plan index).
+    pub index: usize,
+    /// Trace-prefix length (event count) at the crash.
+    pub boundary: usize,
+    /// Kind of the event the crash follows (the plan-mix key).
+    pub after: &'static str,
 }
 
-impl Campaign {
-    /// Creates a campaign for a persistency model with the default budget.
-    pub fn new(model: PersistencyModel) -> Campaign {
-        Campaign {
-            model,
-            budget: Budget::default(),
-            metrics: None,
+/// A recovery-contract violation, at the boundary it was first seen.
+#[derive(Debug, Clone)]
+struct Finding {
+    violation: Violation,
+    /// Trace-prefix length at discovery: the crash point for image-time
+    /// findings, the event just replayed for event-time ones.
+    boundary: usize,
+    /// Pending lines that survived in the offending image (0 for
+    /// event-time findings).
+    survivors: usize,
+}
+
+/// What crashing at one boundary found.
+#[derive(Debug, Clone)]
+pub struct CrashOutcome {
+    /// Post-crash images inspected.
+    images: usize,
+    /// Whether the image walk stopped short of every possible image.
+    incomplete_walk: bool,
+    /// Findings new at this crash point.
+    found: Vec<Finding>,
+}
+
+/// The replay position and everything the validators saw up to it.
+#[derive(Debug)]
+struct Replay {
+    ctx: ReplayContext,
+    validators: ValidatorSet,
+    next_event: usize,
+    /// Seed and sample position of the last plan crashed at.
+    crashed: Option<(u64, usize)>,
+    seen: HashSet<(&'static str, u64)>,
+}
+
+impl Replay {
+    fn new(ctx: ReplayContext, model: PersistencyModel) -> Replay {
+        Replay {
+            ctx,
+            validators: ValidatorSet::for_model(model),
+            next_event: 0,
+            crashed: None,
+            seen: HashSet::new(),
         }
     }
+}
 
-    /// Replaces the budget.
-    pub fn with_budget(mut self, budget: Budget) -> Campaign {
-        self.budget = budget;
-        self
-    }
+/// The crash-points sweep over one trace.
+#[derive(Debug)]
+pub struct CrashPointSweep {
+    model: PersistencyModel,
+    events: Vec<PmEvent>,
+    boundaries: Vec<usize>,
+    pristine: ReplayContext,
+    replay: Replay,
+    /// Plans run since the last `finish`.
+    plans_run: usize,
+}
 
-    /// Attaches a metrics registry. Each [`Campaign::run`] then exports
-    /// campaign progress under the `chaos.*` prefix (boundaries tested,
-    /// crash images enumerated, unrecoverable states, truncations) and
-    /// records the sweep's wall time in the `stage.chaos_sweep` histogram.
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Campaign {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// The campaign's budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// Runs the campaign over `trace`, labelling the report `workload`.
+impl CrashPointSweep {
+    /// Prepares the replay of `trace` under `model`'s recovery validators.
     ///
     /// # Errors
     ///
     /// [`ChaosError::EmptyTrace`] for an empty trace and
-    /// [`ChaosError::PoolExhausted`] when the trace exceeds the pool-line
-    /// budget. Resource exhaustion *during* the sweep is not an error: the
-    /// report comes back partial with explicit [`Truncation`] markers.
-    pub fn run(&self, workload: &str, trace: &Trace) -> Result<CampaignReport, ChaosError> {
-        // Span guard: drops (and records `stage.chaos_sweep`) on every exit
-        // path, including the early `?` errors.
-        let _sweep = self.metrics.as_ref().map(|r| r.span("stage.chaos_sweep"));
-        let clock = self.budget.start_clock();
-        let mut truncations = Vec::new();
+    /// [`ChaosError::PoolExhausted`] when it touches more than 65,536
+    /// distinct cache lines.
+    pub fn new(trace: Trace, model: PersistencyModel) -> Result<Self, ChaosError> {
+        let events = trace.events().to_vec();
+        let pristine = ReplayContext::new(&events, MAX_POOL_LINES)?;
+        Ok(CrashPointSweep {
+            model,
+            replay: Replay::new(pristine.clone(), model),
+            pristine,
+            boundaries: crash_boundaries(&events),
+            events,
+            plans_run: 0,
+        })
+    }
 
-        let events = trace.events();
-        let replay_len = events.len().min(self.budget.max_trace_len);
-        if replay_len < events.len() {
-            truncations.push(Truncation::TraceTruncated {
-                replayed: replay_len,
-                len: events.len(),
-            });
-        }
-        let events = &events[..replay_len];
-
-        let boundaries = crash_boundaries(events);
-        let selected =
-            select_boundaries(&boundaries, self.budget.max_crash_points, self.budget.seed);
-        if selected.len() < boundaries.len() {
-            truncations.push(Truncation::CrashPointsSampled {
-                tested: selected.len(),
-                total: boundaries.len(),
-            });
-        }
-
-        let mut ctx = ReplayContext::new(events, &self.budget)?;
-        let mut validators = ValidatorSet::for_model(self.model);
-
-        let mut seen: HashSet<(&'static str, u64)> = HashSet::new();
-        let mut unrecoverable: Vec<UnrecoverableState> = Vec::new();
-        let mut images_tested = 0u64;
-        let mut truncated_points = 0usize;
-        let mut tested = 0usize;
-        let mut expired = false;
-
-        let mut next_event = 0usize;
-        for &boundary in &selected {
-            // Apply events up to the boundary; event-time violations (e.g.
-            // undo-log discipline) are their own minimal reproductions.
-            while next_event < boundary {
-                let event = &events[next_event];
-                ctx.apply(next_event as u64, event);
-                for violation in validators.on_event(next_event as u64, event, &ctx) {
-                    record(
-                        &mut unrecoverable,
-                        &mut seen,
-                        violation,
-                        next_event + 1,
-                        0,
-                        Some(next_event + 1),
-                    );
-                }
-                next_event += 1;
-            }
-
-            if clock.expired() {
-                truncations.push(Truncation::WallClockExpired {
-                    tested,
-                    total: selected.len(),
+    /// Replays up to `boundary`, then crashes there.
+    fn crash_at(&mut self, boundary: usize) -> CrashOutcome {
+        let replay = &mut self.replay;
+        let mut found = Vec::new();
+        let mut record = |violation: Violation, boundary: usize, survivors: usize| {
+            if replay.seen.insert((violation.validator, violation.addr)) {
+                found.push(Finding {
+                    violation,
+                    boundary,
+                    survivors,
                 });
-                expired = true;
-                break;
             }
-
-            let enumeration = CrashImage::enumerate(ctx.pool(), self.budget.max_images_per_point);
-            if enumeration.truncated {
-                truncated_points += 1;
-            }
-            images_tested += enumeration.len() as u64;
-            for image in &enumeration.images {
-                for violation in validators.check(image, &ctx) {
-                    record(
-                        &mut unrecoverable,
-                        &mut seen,
-                        violation,
-                        boundary,
-                        image.survivors.len(),
-                        None,
-                    );
-                }
-            }
-            tested += 1;
-        }
-        if truncated_points > 0 {
-            truncations.push(Truncation::ImagesTruncated {
-                points: truncated_points,
-            });
-        }
-
-        // Minimize the earliest few image-time findings by re-replaying and
-        // probing every boundary from the start.
-        if !expired {
-            for state in unrecoverable
-                .iter_mut()
-                .filter(|s| s.minimized_prefix.is_none())
-                .take(MINIMIZE_LIMIT)
-            {
-                if clock.expired() {
-                    break;
-                }
-                state.minimized_prefix = self.minimize(
-                    events,
-                    &boundaries,
-                    state.validator,
-                    state.addr,
-                    state.boundary,
-                );
-            }
-        }
-
-        // Differential side: what does the detector say about the same trace?
-        let mut detector = PmDebugger::new(DebuggerConfig::for_model(self.model));
-        for (seq, event) in events.iter().enumerate() {
-            pm_trace::Detector::on_event(&mut detector, seq as u64, event);
-        }
-        let malformed_events = detector.malformed_events();
-        let detector_findings = ReportDigest::of(&pm_trace::Detector::finish(&mut detector))
-            .kinds()
-            .map(|(kind, count)| (kind.name().to_owned(), count as usize))
-            .collect();
-
-        let report = CampaignReport {
-            workload: workload.to_owned(),
-            model: model_name(self.model),
-            events_replayed: replay_len,
-            boundaries_total: boundaries.len(),
-            boundaries_tested: tested,
-            images_tested,
-            unrecoverable,
-            detector_findings,
-            malformed_events,
-            truncations,
-            wall_ms: clock.elapsed_ms(),
         };
-        if let Some(registry) = &self.metrics {
-            export_campaign(registry, &report);
+        while replay.next_event < boundary {
+            let seq = replay.next_event;
+            let event = &self.events[seq];
+            replay.ctx.apply(seq as u64, event);
+            for violation in replay.validators.on_event(seq as u64, event, &replay.ctx) {
+                record(violation, seq + 1, 0);
+            }
+            replay.next_event += 1;
         }
-        Ok(report)
+        let walk = CrashImage::enumerate(replay.ctx.pool(), MAX_IMAGES);
+        for image in &walk.images {
+            for violation in replay.validators.check(image, &replay.ctx) {
+                record(violation, boundary, image.survivors.len());
+            }
+        }
+        CrashOutcome {
+            images: walk.len(),
+            incomplete_walk: walk.truncated,
+            found,
+        }
+    }
+}
+
+impl Sweep for CrashPointSweep {
+    const NAME: &'static str = "crash-points";
+    const DEFAULT_SEED: u64 = 0xC4A05;
+    const DEFAULT_PLANS: usize = 256;
+    type Plan = CrashPoint;
+    type Outcome = CrashOutcome;
+
+    fn plans(&self, seed: u64) -> Box<dyn Iterator<Item = CrashPoint>> {
+        let points: Vec<CrashPoint> =
+            select_boundaries(&self.boundaries, Self::DEFAULT_PLANS, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(index, boundary)| CrashPoint {
+                    seed,
+                    index,
+                    boundary,
+                    after: self.events[boundary - 1].kind_name(),
+                })
+                .collect();
+        Box::new(points.into_iter())
     }
 
-    /// Finds the shortest boundary at which `(validator, addr)` already
-    /// violates, by a fresh incremental replay probing every boundary up to
-    /// the discovery point with a small image budget.
-    fn minimize(
+    fn kind(plan: &CrashPoint) -> &'static str {
+        plan.after
+    }
+
+    fn run(&mut self, plan: &CrashPoint) -> CrashOutcome {
+        self.plans_run += 1;
+        let next = match self.replay.crashed {
+            None => 0,
+            Some((seed, index)) if seed == plan.seed && index < plan.index => index + 1,
+            Some(_) => {
+                self.replay = Replay::new(self.pristine.clone(), self.model);
+                0
+            }
+        };
+        if next < plan.index {
+            // Crash silently at the sample points a replayed plan skipped.
+            let sample = select_boundaries(&self.boundaries, Self::DEFAULT_PLANS, plan.seed);
+            for &boundary in &sample[next..plan.index] {
+                self.crash_at(boundary);
+            }
+        }
+        let outcome = self.crash_at(plan.boundary);
+        self.replay.crashed = Some((plan.seed, plan.index));
+        outcome
+    }
+
+    fn check(
         &self,
-        events: &[PmEvent],
-        boundaries: &[usize],
-        validator: &'static str,
-        addr: u64,
-        found_at: usize,
-    ) -> Option<usize> {
-        let clock = self.budget.start_clock();
-        let mut ctx = ReplayContext::new(events, &self.budget).ok()?;
-        let mut validators = ValidatorSet::for_model(self.model);
-        let image_cap = self.budget.max_images_per_point.min(8);
-        let mut next_event = 0usize;
-        for &boundary in boundaries.iter().take_while(|&&b| b <= found_at) {
-            while next_event < boundary {
-                let event = &events[next_event];
-                ctx.apply(next_event as u64, event);
-                let _ = validators.on_event(next_event as u64, event, &ctx);
-                next_event += 1;
-            }
-            if clock.expired() {
-                return None;
-            }
-            let enumeration = CrashImage::enumerate(ctx.pool(), image_cap);
-            for image in &enumeration.images {
-                if validators
-                    .check(image, &ctx)
-                    .iter()
-                    .any(|v| v.validator == validator && v.addr == addr)
-                {
-                    return Some(boundary);
-                }
-            }
-        }
-        Some(found_at)
+        _plan: &CrashPoint,
+        outcome: &CrashOutcome,
+        tallies: &mut Tallies,
+    ) -> Vec<SweepViolation> {
+        tallies.add("images", outcome.images as u64);
+        tallies.add("incomplete_walks", u64::from(outcome.incomplete_walk));
+        outcome
+            .found
+            .iter()
+            .map(|f| {
+                let v = &f.violation;
+                SweepViolation::new(
+                    "unrecoverable",
+                    format!(
+                        "{} addr={:#x} size={} boundary={} survivors={}: {}",
+                        v.validator, v.addr, v.size, f.boundary, f.survivors, v.detail
+                    ),
+                )
+            })
+            .collect()
     }
-}
 
-/// Exports a finished campaign's progress counters under the `chaos.*`
-/// prefix. Counters add, so several campaigns sharing one registry (e.g.
-/// one per persistency model) accumulate into a combined total.
-fn export_campaign(registry: &MetricsRegistry, report: &CampaignReport) {
-    let counters = [
-        ("chaos.campaigns", 1),
-        ("chaos.events_replayed", report.events_replayed as u64),
-        ("chaos.boundaries_total", report.boundaries_total as u64),
-        ("chaos.boundaries_tested", report.boundaries_tested as u64),
-        ("chaos.images_tested", report.images_tested),
-        (
-            "chaos.unrecoverable_states",
-            report.unrecoverable.len() as u64,
-        ),
-        (
-            "chaos.detector_findings",
-            report.detector_findings.values().map(|&n| n as u64).sum(),
-        ),
-        ("chaos.truncations", report.truncations.len() as u64),
-    ];
-    for (name, value) in counters {
-        if value > 0 {
-            registry.counter(name).add(value);
-        }
+    fn finish(&mut self, tallies: &mut Tallies) -> Vec<SweepViolation> {
+        tallies.add("boundaries", self.boundaries.len() as u64);
+        let tested = std::mem::take(&mut self.plans_run).min(self.boundaries.len());
+        tallies.add("untested", (self.boundaries.len() - tested) as u64);
+        let reports = batch_reports(&DebuggerConfig::for_model(self.model), &self.events);
+        ReportDigest::of(&reports)
+            .kinds()
+            .map(|(kind, count)| {
+                SweepViolation::new(
+                    "detector-finding",
+                    format!("{}: {count} report(s) over the whole trace", kind.name()),
+                )
+            })
+            .collect()
     }
-}
-
-fn record(
-    unrecoverable: &mut Vec<UnrecoverableState>,
-    seen: &mut HashSet<(&'static str, u64)>,
-    violation: Violation,
-    boundary: usize,
-    survivors: usize,
-    minimized: Option<usize>,
-) {
-    if !seen.insert((violation.validator, violation.addr)) {
-        return;
-    }
-    unrecoverable.push(UnrecoverableState {
-        validator: violation.validator,
-        addr: violation.addr,
-        size: violation.size,
-        boundary,
-        survivors,
-        minimized_prefix: minimized,
-        detail: violation.detail,
-    });
 }
 
 /// Crash boundaries of an event slice: after every store, flush, fence,
@@ -329,9 +284,9 @@ pub fn crash_boundaries(events: &[PmEvent]) -> Vec<usize> {
     boundaries
 }
 
-/// Deterministic boundary selection: everything when it fits the budget,
+/// Deterministic boundary selection: everything when it fits `max`,
 /// otherwise a seeded stratified sample that always includes the final
-/// boundary.
+/// boundary. Ascending.
 fn select_boundaries(boundaries: &[usize], max: usize, seed: u64) -> Vec<usize> {
     if boundaries.len() <= max || max == 0 {
         return boundaries.to_vec();
@@ -349,17 +304,10 @@ fn select_boundaries(boundaries: &[usize], max: usize, seed: u64) -> Vec<usize> 
     picked.into_iter().collect()
 }
 
-fn model_name(model: PersistencyModel) -> &'static str {
-    match model {
-        PersistencyModel::Strict => "strict",
-        PersistencyModel::Epoch => "epoch",
-        PersistencyModel::Strand => "strand",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{replay_plan, run_sweep, SweepOptions, Truncation};
     use pm_trace::PmRuntime;
     use pmem_sim::FlushKind;
 
@@ -373,6 +321,10 @@ mod tests {
             rt.sfence();
         }
         rt.try_take_trace().unwrap()
+    }
+
+    fn sweep(trace: Trace) -> CrashPointSweep {
+        CrashPointSweep::new(trace, PersistencyModel::Strict).unwrap()
     }
 
     #[test]
@@ -390,6 +342,7 @@ mod tests {
         let sampled = select_boundaries(&boundaries, 10, 1);
         assert!(sampled.len() <= 10);
         assert!(sampled.contains(&100), "final boundary always tested");
+        assert!(sampled.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert_eq!(
             sampled,
             select_boundaries(&boundaries, 10, 1),
@@ -398,77 +351,79 @@ mod tests {
     }
 
     #[test]
-    fn clean_trace_campaign_reports_zero_issues() {
-        let trace = clean_trace(6);
-        let report = Campaign::new(PersistencyModel::Strict)
-            .run("clean", &trace)
-            .unwrap();
-        assert_eq!(report.issues(), 0, "{report:?}");
-        assert!(report.complete());
-        assert_eq!(report.boundaries_tested, report.boundaries_total);
-        assert!(report.images_tested >= report.boundaries_tested as u64);
+    fn clean_trace_sweeps_every_boundary_clean() {
+        let mut sweep = sweep(clean_trace(6));
+        let report = run_sweep(&mut sweep, &SweepOptions::new(256, 1));
+        assert!(report.ok(), "{}", report.to_json());
+        assert_eq!(report.plans_run, 18);
+        assert_eq!(report.tally("boundaries"), 18);
+        assert_eq!(report.tally("untested"), 0);
+        assert!(report.tally("images") >= 18);
+        assert_eq!(report.mix("store") + report.mix("flush"), 12);
+        // The same sweep runs again from the start.
+        let again = run_sweep(&mut sweep, &SweepOptions::new(256, 1));
+        assert_eq!(again.tallies, report.tallies);
+    }
+
+    #[test]
+    fn unflushed_overwrite_is_unrecoverable_and_replays() {
+        // A durable line is overwritten and the fence passes with the new
+        // bytes unflushed: a crash can expose either version.
+        let mut rt = PmRuntime::trace_only();
+        rt.record();
+        rt.store_untyped(0, 8);
+        rt.flush_range(FlushKind::Clwb, 0, 8).unwrap();
+        rt.sfence();
+        rt.store_untyped(0, 8);
+        rt.sfence();
+        rt.store_untyped(64, 8);
+        let trace = rt.try_take_trace().unwrap();
+        let report = run_sweep(&mut sweep(trace.clone()), &SweepOptions::new(256, 1));
+        let first = report
+            .violations
+            .iter()
+            .find(|v| v.kind == "unrecoverable")
+            .unwrap_or_else(|| panic!("{}", report.to_json()));
+        assert!(first.detail.starts_with("strict-overwrite"), "{first:?}");
+        // The trace-level detector differential comes with every run, a
+        // replay included; the crash-point findings are the plan's own.
+        let replayed = replay_plan(&mut sweep(trace), 1, first.plan_index);
+        let unrecoverable = |violations: &[SweepViolation]| -> Vec<SweepViolation> {
+            violations
+                .iter()
+                .filter(|v| v.kind == "unrecoverable" && v.plan_index == first.plan_index)
+                .cloned()
+                .collect()
+        };
+        assert_eq!(
+            unrecoverable(&replayed.violations),
+            unrecoverable(&report.violations)
+        );
+        assert!(replayed
+            .violations
+            .iter()
+            .any(|v| v.kind == "detector-finding"));
     }
 
     #[test]
     fn empty_trace_is_rejected_not_panicked() {
-        let trace = Trace::new();
         assert!(matches!(
-            Campaign::new(PersistencyModel::Strict).run("empty", &trace),
+            CrashPointSweep::new(Trace::new(), PersistencyModel::Strict),
             Err(ChaosError::EmptyTrace)
         ));
     }
 
     #[test]
     fn zero_wall_clock_returns_partial_report() {
-        let trace = clean_trace(6);
-        let budget = Budget::default().with_wall_clock(std::time::Duration::ZERO);
-        let report = Campaign::new(PersistencyModel::Strict)
-            .with_budget(budget)
-            .run("starved", &trace)
-            .unwrap();
-        assert!(!report.complete());
-        assert!(report
-            .truncations
-            .iter()
-            .any(|t| matches!(t, Truncation::WallClockExpired { .. })));
-        assert_eq!(report.boundaries_tested, 0);
-    }
-
-    #[test]
-    fn metrics_export_campaign_progress() {
-        let trace = clean_trace(4);
-        let registry = pm_obs::MetricsRegistry::new();
-        let campaign = Campaign::new(PersistencyModel::Strict).with_metrics(registry.clone());
-        let report = campaign.run("observed", &trace).unwrap();
-        let report2 = campaign.run("observed-again", &trace).unwrap();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("chaos.campaigns"), 2);
-        assert_eq!(
-            snap.counter("chaos.boundaries_tested"),
-            (report.boundaries_tested + report2.boundaries_tested) as u64
-        );
-        assert_eq!(
-            snap.counter("chaos.images_tested"),
-            report.images_tested + report2.images_tested
-        );
-        // Clean trace: zero-valued counters are never created.
-        assert!(!snap.counters.contains_key("chaos.unrecoverable_states"));
-        let sweep = &snap.histograms["stage.chaos_sweep"];
-        assert_eq!(sweep.count, 2, "one sweep span per run");
-    }
-
-    #[test]
-    fn trace_length_budget_truncates_with_report() {
-        let trace = clean_trace(10);
-        let budget = Budget::default().with_trace_len(9);
-        let report = Campaign::new(PersistencyModel::Strict)
-            .with_budget(budget)
-            .run("cut", &trace)
-            .unwrap();
-        assert_eq!(report.events_replayed, 9);
-        assert!(report
-            .truncations
-            .iter()
-            .any(|t| matches!(t, Truncation::TraceTruncated { replayed: 9, .. })));
+        let opts = SweepOptions {
+            wall_clock: Some(std::time::Duration::ZERO),
+            ..SweepOptions::new(256, 1)
+        };
+        let report = run_sweep(&mut sweep(clean_trace(6)), &opts);
+        assert_eq!(report.plans_run, 0);
+        assert!(matches!(
+            report.truncations.as_slice(),
+            [Truncation::WallClockExpired { tested: 0, .. }]
+        ));
     }
 }

@@ -38,8 +38,9 @@ use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode, PmEvent};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, DetectSession, PersistencyModel};
 
-use crate::budget::splitmix64;
-use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
+use crate::sweep::{
+    batch_reports, hash_hex, splitmix64, temp_path, Sweep, SweepViolation, Tallies,
+};
 
 /// What one hostile client does to the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

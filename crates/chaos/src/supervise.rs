@@ -31,8 +31,7 @@ use pmdebugger::{
     ParallelConfig, PersistencyModel, SupervisedOutcome, SupervisorConfig,
 };
 
-use crate::budget::splitmix64;
-use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
 
 /// Worker-thread counts cycled across plans.
 const THREADS: [usize; 4] = [2, 3, 4, 8];

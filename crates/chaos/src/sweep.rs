@@ -23,8 +23,6 @@ use pm_obs::json::Value;
 use pm_trace::{report_hash, BugReport, PmEvent};
 use pmdebugger::{DebuggerConfig, PmDebugger};
 
-use crate::budget::Truncation;
-
 /// Schema tag of the JSON report.
 const REPORT_SCHEMA: &str = "pm-chaos-sweep-v1";
 
@@ -182,6 +180,29 @@ impl SweepViolation {
             ("kind".into(), Value::Str(self.kind.into())),
             ("detail".into(), Value::Str(self.detail.clone())),
         ]))
+    }
+}
+
+/// A bound that was hit during a sweep, so a partial report never reads
+/// as complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Truncation {
+    /// The wall clock expired after `tested` of `total` planned plans.
+    WallClockExpired {
+        /// Plans run before expiry.
+        tested: usize,
+        /// Plans planned.
+        total: usize,
+    },
+}
+
+impl fmt::Display for Truncation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Truncation::WallClockExpired { tested, total } => {
+                write!(f, "wall clock expired after {tested} of {total} plans")
+            }
+        }
     }
 }
 
@@ -383,6 +404,16 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string payload")
 }
 
+/// The splitmix64 step — the crate's only randomness: it expands sweep
+/// seeds into plans and fills replayed stores with reproducible bytes.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The offline reference every sweep's verdicts are held to: one
 /// uninterrupted sequential detection over `events`.
 pub(crate) fn batch_reports(config: &DebuggerConfig, events: &[PmEvent]) -> Vec<BugReport> {
@@ -412,5 +443,27 @@ pub(crate) fn assert_json_keys(report: &SweepReport, keys: &[&str]) {
             json.contains(&format!("\"{key}\":")),
             "missing {key}: {json}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn truncations_render_their_numbers() {
+        let t = Truncation::WallClockExpired {
+            tested: 10,
+            total: 99,
+        };
+        assert_eq!(t.to_string(), "wall clock expired after 10 of 99 plans");
+    }
+
+    #[test]
+    fn splitmix_is_deterministic_and_nontrivial() {
+        let mut a = 7;
+        let mut b = 7;
+        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
+        assert_ne!(splitmix64(&mut a), splitmix64(&mut b).wrapping_add(1));
     }
 }

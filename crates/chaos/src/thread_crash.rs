@@ -35,8 +35,7 @@ use pmdebugger::{
     PersistencyModel, SupervisorConfig,
 };
 
-use crate::budget::splitmix64;
-use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
 
 /// Worker-thread widths cycled across plans.
 const THREADS: [usize; 3] = [2, 4, 8];

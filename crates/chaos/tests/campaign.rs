@@ -1,176 +1,217 @@
-//! Acceptance tests for the torture-campaign engine over the bug corpus's
-//! showcased workload variants (Figure 9): every buggy variant must score
-//! ≥ 1 issue (recovery bugs via crash-image validators, performance bugs
-//! via the detector differential), every fixed variant must score 0, and
-//! starving the budget must yield a partial report, not a panic.
+//! Acceptance tests for the crash-points and perturb sweeps over the bug
+//! corpus's showcased workload variants (Figure 9): every buggy variant
+//! must fail (recovery bugs via crash-image validators, performance bugs
+//! via the detector differential), every fixed variant must sweep clean, a
+//! finding must come back from its `seed:index`, and a starved wall clock
+//! must yield a partial report, not a panic.
 
 use std::time::Duration;
 
-use pm_chaos::{sensitivity_matrix, Budget, Campaign, Truncation};
+use pm_chaos::{
+    replay_plan, run_sweep, CrashPointSweep, PerturbSweep, Sweep, SweepOptions, SweepReport,
+    SweepViolation, Truncation,
+};
+use pm_trace::Trace;
 use pm_workloads::faults;
 use pmdebugger::PersistencyModel;
 
-fn quick_budget() -> Budget {
-    Budget::default()
-        .with_crash_points(96)
-        .with_images_per_point(8)
+fn sweep(trace: &Trace, model: PersistencyModel) -> CrashPointSweep {
+    CrashPointSweep::new(trace.clone(), model).unwrap()
+}
+
+/// The crash-points sweep at its default plan count and seed.
+fn crash_points(trace: &Trace, model: PersistencyModel) -> SweepReport {
+    let opts = SweepOptions::new(
+        CrashPointSweep::DEFAULT_PLANS,
+        CrashPointSweep::DEFAULT_SEED,
+    );
+    run_sweep(&mut sweep(trace, model), &opts)
+}
+
+fn unrecoverable(report: &SweepReport) -> Vec<&SweepViolation> {
+    report
+        .violations
+        .iter()
+        .filter(|v| v.kind == "unrecoverable")
+        .collect()
+}
+
+fn flagged_by(report: &SweepReport, validator: &str) -> bool {
+    unrecoverable(report)
+        .iter()
+        .any(|v| v.detail.starts_with(&format!("{validator} ")))
+}
+
+/// The `validator addr=.. size=..` part of a finding's detail.
+fn finding_key(violation: &SweepViolation) -> &str {
+    violation.detail.split(" boundary=").next().unwrap()
 }
 
 #[test]
 fn memcached_cas_bug_yields_unrecoverable_states() {
     let trace = faults::memcached_cas_bug_trace(40).unwrap();
-    let report = Campaign::new(PersistencyModel::Strict)
-        .with_budget(quick_budget())
-        .run("memcached-cas-bug", &trace)
-        .unwrap();
+    let report = crash_points(&trace, PersistencyModel::Strict);
     assert!(
-        report
-            .unrecoverable
-            .iter()
-            .any(|s| s.validator == "strict-overwrite"),
-        "the unpersisted CAS id must surface as an unrecoverable state: {report:?}"
+        flagged_by(&report, "strict-overwrite"),
+        "the unpersisted CAS id must surface as an unrecoverable state: {}",
+        report.to_json()
     );
-    assert!(report.issues() >= 1);
-    // The first finding carries a minimized reproducing prefix.
-    let first = &report.unrecoverable[0];
-    let minimized = first.minimized_prefix.expect("first finding is minimized");
-    assert!(minimized <= first.boundary);
-    assert!(minimized > 0);
-}
+    assert!(!report.ok());
 
-#[test]
-fn memcached_cas_fixed_is_issue_free() {
-    let trace = faults::memcached_cas_fixed_trace(40).unwrap();
-    let report = Campaign::new(PersistencyModel::Strict)
-        .with_budget(quick_budget())
-        .run("memcached-cas-fixed", &trace)
-        .unwrap();
-    assert_eq!(report.issues(), 0, "{report:?}");
-    assert!(report.unrecoverable.is_empty());
+    // The first finding is reproduced by its seed:index, and no earlier
+    // plan reports it.
+    let first = unrecoverable(&report)[0];
+    let replayed = replay_plan(
+        &mut sweep(&trace, PersistencyModel::Strict),
+        first.seed,
+        first.plan_index,
+    );
+    assert!(
+        replayed.violations.contains(first),
+        "{}",
+        replayed.to_json()
+    );
+    for index in 0..first.plan_index {
+        let earlier = replay_plan(
+            &mut sweep(&trace, PersistencyModel::Strict),
+            first.seed,
+            index,
+        );
+        assert!(
+            unrecoverable(&earlier)
+                .iter()
+                .all(|v| finding_key(v) != finding_key(first)),
+            "plan {index} already reports {}",
+            first.detail
+        );
+    }
 }
 
 #[test]
 fn pmdk_array_bug_breaks_the_epoch_commit_contract() {
     let trace = faults::pmdk_array_lack_durability_trace().unwrap();
-    let report = Campaign::new(PersistencyModel::Epoch)
-        .run("pmdk-array-bug", &trace)
-        .unwrap();
+    let report = crash_points(&trace, PersistencyModel::Epoch);
     assert!(
-        report
-            .unrecoverable
-            .iter()
-            .any(|s| s.validator == "epoch-commit"),
-        "the unflushed info struct must surface: {report:?}"
+        flagged_by(&report, "epoch-commit"),
+        "the unflushed info struct must surface: {}",
+        report.to_json()
     );
-    assert!(report.issues() >= 1);
+    assert!(!report.ok());
     // Small trace: the sweep is exhaustive.
-    assert!(report.complete(), "{report:?}");
+    assert_eq!(report.plans_run as u64, report.tally("boundaries"));
 }
 
 #[test]
 fn pmdk_array_fixed_is_issue_free() {
     let trace = faults::pmdk_array_fixed_trace().unwrap();
-    let report = Campaign::new(PersistencyModel::Epoch)
-        .run("pmdk-array-fixed", &trace)
-        .unwrap();
-    assert_eq!(report.issues(), 0, "{report:?}");
+    let report = crash_points(&trace, PersistencyModel::Epoch);
+    assert!(report.ok(), "{}", report.to_json());
 }
 
 #[test]
 fn redundant_fence_bug_is_a_detector_side_issue() {
     // The Figure 9b fence is a performance bug: recovery is correct (no
-    // unrecoverable state), but the campaign still scores it via the
-    // detector differential.
+    // unrecoverable state), but the sweep still fails it via the detector
+    // differential.
     let trace = faults::hashmap_atomic_redundant_fence_trace(20).unwrap();
-    let report = Campaign::new(PersistencyModel::Epoch)
-        .with_budget(quick_budget())
-        .run("hashmap-redundant-fence", &trace)
-        .unwrap();
-    assert!(report.unrecoverable.is_empty(), "{report:?}");
-    assert!(report.issues() >= 1, "{report:?}");
+    let report = crash_points(&trace, PersistencyModel::Epoch);
+    assert!(unrecoverable(&report).is_empty(), "{}", report.to_json());
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.kind == "detector-finding"),
+        "{}",
+        report.to_json()
+    );
 
     let fixed = faults::hashmap_atomic_fixed_trace(20).unwrap();
-    let fixed_report = Campaign::new(PersistencyModel::Epoch)
-        .with_budget(quick_budget())
-        .run("hashmap-fixed", &fixed)
-        .unwrap();
-    assert_eq!(fixed_report.issues(), 0, "{fixed_report:?}");
+    let fixed_report = crash_points(&fixed, PersistencyModel::Epoch);
+    assert!(fixed_report.ok(), "{}", fixed_report.to_json());
 }
 
 #[test]
-fn campaign_report_serializes_to_json() {
+fn crash_points_report_serializes_to_json() {
     let trace = faults::memcached_cas_bug_trace(10).unwrap();
-    let report = Campaign::new(PersistencyModel::Strict)
-        .with_budget(quick_budget())
-        .run("memcached-cas-bug", &trace)
-        .unwrap();
-    let json = report.to_json();
-    assert!(json.contains("\"workload\":\"memcached-cas-bug\""));
-    assert!(json.contains("\"unrecoverable\":["));
+    let json = crash_points(&trace, PersistencyModel::Strict).to_json();
+    assert!(json.contains("\"sweep\":\"crash-points\""), "{json}");
+    assert!(json.contains("\"kind\":\"unrecoverable\""), "{json}");
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
 #[test]
-fn starved_budget_returns_partial_report_not_panic() {
+fn starved_wall_clock_returns_partial_report_not_panic() {
     let trace = faults::memcached_cas_bug_trace(40).unwrap();
-    let budget = quick_budget().with_wall_clock(Duration::ZERO);
-    let report = Campaign::new(PersistencyModel::Strict)
-        .with_budget(budget)
-        .run("starved", &trace)
-        .unwrap();
-    assert!(!report.complete());
+    let opts = SweepOptions {
+        wall_clock: Some(Duration::ZERO),
+        ..SweepOptions::new(
+            CrashPointSweep::DEFAULT_PLANS,
+            CrashPointSweep::DEFAULT_SEED,
+        )
+    };
+    let report = run_sweep(&mut sweep(&trace, PersistencyModel::Strict), &opts);
+    assert_eq!(report.plans_run, 0);
     assert!(report
         .truncations
         .iter()
         .any(|t| matches!(t, Truncation::WallClockExpired { .. })));
     // The detector differential still ran, so the bug is still visible.
-    assert!(report.issues() >= 1);
-}
-
-#[test]
-fn crash_point_sampling_kicks_in_on_long_traces() {
-    let trace = faults::memcached_cas_fixed_trace(40).unwrap();
-    let budget = Budget::default()
-        .with_crash_points(16)
-        .with_images_per_point(4);
-    let report = Campaign::new(PersistencyModel::Strict)
-        .with_budget(budget)
-        .run("sampled", &trace)
-        .unwrap();
-    assert!(report.boundaries_tested <= 16);
-    assert!(report
-        .truncations
-        .iter()
-        .any(|t| matches!(t, Truncation::CrashPointsSampled { .. })));
-    // Sampling must not invent issues on the fixed variant.
-    assert_eq!(report.issues(), 0, "{report:?}");
-}
-
-#[test]
-fn sensitivity_matrix_covers_the_fault_classes() {
-    let trace = faults::memcached_cas_fixed_trace(12).unwrap();
-    let budget = Budget::default();
-    let matrix = sensitivity_matrix(&trace, PersistencyModel::Strict, &budget);
-
-    let drop_flush = &matrix.rows["drop-flush"];
-    assert!(drop_flush.injected > 0);
     assert!(
-        drop_flush.detected.get("pmdebugger").copied().unwrap_or(0) > 0,
-        "dropped flushes must be caught: {matrix:?}"
+        report
+            .violations
+            .iter()
+            .any(|v| v.kind == "detector-finding"),
+        "{}",
+        report.to_json()
     );
-    let tear = &matrix.rows["tear-store"];
-    assert!(tear.injected > 0);
+}
+
+#[test]
+fn memcached_cas_fixed_is_issue_free_under_sampling() {
+    // 445 boundaries: more than the default plan count, so sampled.
+    let trace = faults::memcached_cas_fixed_trace(40).unwrap();
+    let report = crash_points(&trace, PersistencyModel::Strict);
+    assert_eq!(report.plans_run, CrashPointSweep::DEFAULT_PLANS);
+    assert!(
+        report.tally("boundaries") > CrashPointSweep::DEFAULT_PLANS as u64,
+        "{}",
+        report.to_json()
+    );
+    // The report says how much of the trace the sample left out.
+    assert_eq!(
+        report.tally("untested"),
+        report.tally("boundaries") - CrashPointSweep::DEFAULT_PLANS as u64
+    );
+    // Sampling must not invent issues on the fixed variant.
+    assert!(report.violations.is_empty(), "{}", report.to_json());
+    assert!(report.ok());
+}
+
+#[test]
+fn perturb_covers_the_fault_classes() {
+    let trace = faults::memcached_cas_fixed_trace(12).unwrap();
+    let mut sweep = PerturbSweep::new(trace, PersistencyModel::Strict).unwrap();
+    let report = run_sweep(
+        &mut sweep,
+        &SweepOptions::new(PerturbSweep::DEFAULT_PLANS, PerturbSweep::DEFAULT_SEED),
+    );
+    assert!(report.ok(), "{}", report.to_json());
+    assert!(report.tally("drop-flush.injected") > 0);
+    assert!(
+        report.tally("drop-flush.pmdebugger_detected") > 0,
+        "dropped flushes must be caught: {}",
+        report.to_json()
+    );
     for class in [
+        "tear-store",
         "drop-fence",
         "duplicate-flush",
         "duplicate-fence",
         "reorder-flush-fence",
     ] {
-        assert!(matrix.rows[class].injected > 0, "{class} never injected");
+        assert!(
+            report.tally(&format!("{class}.injected")) > 0,
+            "{class} never injected"
+        );
     }
-
-    let json = matrix.to_json();
-    assert!(json.contains("\"rows\""));
-    assert!(json.contains("\"drop-flush\""));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
 }

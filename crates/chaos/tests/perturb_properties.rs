@@ -2,13 +2,15 @@
 //! campaign): every single-event perturbation of a clean strict-model trace
 //! either leaves the line-granular persistence semantics unchanged, or is
 //! flagged by at least one detector in the differential stack. And nothing
-//! in the stack — detectors or campaign — may panic on a perturbed stream.
+//! in the stack — detectors or the crash-points sweep — may panic on a
+//! perturbed stream.
 
 use proptest::prelude::*;
 
 use pm_baselines::{PmemcheckLike, PmtestLike};
 use pm_chaos::{
-    apply, perturbations, semantic_fingerprint, Budget, Campaign, FaultClass, Perturbation,
+    apply, perturbations, run_sweep, semantic_fingerprint, CrashPointSweep, FaultClass,
+    Perturbation, Sweep, SweepOptions,
 };
 use pm_trace::{replay_finish, FenceKind, FlushKind, PmEvent, ThreadId, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
@@ -105,8 +107,9 @@ proptest! {
         }
     }
 
-    /// Degradation: the campaign engine returns a report (never panics) on
-    /// every perturbed variant, including under a tight budget.
+    /// Degradation: the crash-points sweep returns a report (never panics
+    /// or aborts) on every perturbed variant, crashing at every boundary
+    /// up to the end of the trace.
     #[test]
     fn campaign_survives_perturbed_streams(ops in 1usize..6, idx in 0usize..64) {
         let trace = clean_trace(ops, true);
@@ -114,11 +117,13 @@ proptest! {
         prop_assume!(!all.is_empty());
         let p: Perturbation = all[idx % all.len()];
         let Some(mutated) = apply(&trace, &p) else { return Ok(()) };
-        let budget = Budget::default().with_crash_points(12).with_images_per_point(4);
-        let report = Campaign::new(PersistencyModel::Strict)
-            .with_budget(budget)
-            .run("perturbed", &mutated)
-            .unwrap();
-        prop_assert!(report.boundaries_tested <= 12);
+        let mut sweep = CrashPointSweep::new(mutated, PersistencyModel::Strict).unwrap();
+        let report = run_sweep(
+            &mut sweep,
+            &SweepOptions::new(CrashPointSweep::DEFAULT_PLANS, CrashPointSweep::DEFAULT_SEED),
+        );
+        prop_assert_eq!(report.tallies.aborts, 0);
+        prop_assert_eq!(report.plans_run as u64, report.tally("boundaries"));
+        prop_assert_eq!(report.tally("untested"), 0);
     }
 }

@@ -1,16 +1,17 @@
 //! The shared sweep runner: violations name `{sweep, seed, plan_index}`,
-//! `seed:index` replays exactly the plan a full run executed, and the six
+//! `seed:index` replays exactly the plan a full run executed, and the
 //! ported sweeps keep the plan sequences (and so the tallies) they ran
 //! before sharing one runner.
 
 use std::time::Duration;
 
 use pm_chaos::{
-    plan_for, replay_plan, run_sweep, CorruptSweep, DaemonCrashSweep, MemPressureSweep, ServeSweep,
-    SessionPlan, SuperviseSweep, Sweep, SweepOptions, SweepReport, SweepViolation, Tallies,
-    ThreadCrashSweep, Truncation,
+    plan_for, replay_plan, run_sweep, CorruptSweep, CrashPointSweep, DaemonCrashSweep,
+    MemPressureSweep, PerturbSweep, ServeSweep, SessionPlan, SuperviseSweep, Sweep, SweepOptions,
+    SweepReport, SweepViolation, Tallies, ThreadCrashSweep, Truncation,
 };
-use pm_workloads::{record_trace, BTree};
+use pm_trace::Trace;
+use pm_workloads::{record_trace, BTree, Memcached};
 use pmdebugger::PersistencyModel;
 
 /// A test-only sweep: plan `i` of seed `s` is `s + i`; plans divisible by
@@ -330,6 +331,79 @@ fn mem_pressure_replays_a_sampled_plan() {
     }
 }
 
+/// The workload sweeps' CI case: memcached, 64 operations.
+fn memcached_64() -> Trace {
+    record_trace(&Memcached::default(), 64)
+}
+
+#[test]
+fn crash_points_replays_a_sampled_plan_and_keeps_its_ci_tallies() {
+    let make = || CrashPointSweep::new(memcached_64(), PersistencyModel::Strict).unwrap();
+    let report = full_run_then_replay(make, CrashPointSweep::DEFAULT_SEED, 71, 40);
+    for (key, expected) in [("boundaries", 71), ("images", 149), ("incomplete_walks", 2)] {
+        assert_eq!(report.tally(key), expected, "{key}: {}", report.to_json());
+    }
+}
+
+#[test]
+fn perturb_replays_a_sampled_plan_and_keeps_its_ci_tallies() {
+    let make = || PerturbSweep::new(memcached_64(), PersistencyModel::Strict).unwrap();
+    let report = full_run_then_replay(make, PerturbSweep::DEFAULT_SEED, 119, 77);
+    for (key, expected) in [
+        ("drop-flush.injected", 20),
+        ("drop-flush.pmtest_missed", 20),
+        ("drop-fence.benign", 13),
+        ("tear-store.injected", 37),
+        ("tear-store.benign", 36),
+        // One torn store changes what is durable and no detector sees it.
+        ("tear-store.escaped", 1),
+        ("swap-epoch-markers.injected", 0),
+    ] {
+        assert_eq!(report.tally(key), expected, "{key}: {}", report.to_json());
+    }
+}
+
+#[test]
+fn crash_points_replay_returns_exactly_the_plans_violations() {
+    // Epoch-model b_tree: three tx-log findings, raised while replaying
+    // events (not at a crash image), and a clean detector differential.
+    let trace = record_trace(&BTree::default(), 64);
+    let make = || CrashPointSweep::new(trace.clone(), PersistencyModel::Epoch).unwrap();
+    let seed = CrashPointSweep::DEFAULT_SEED;
+    let report = run_sweep(&mut make(), &SweepOptions::new(256, seed));
+    let stamped: Vec<usize> = report.violations.iter().map(|v| v.plan_index).collect();
+    assert_eq!(stamped, [29, 200, 207], "{}", report.to_json());
+    for index in [0, 28, 29, 30, 200, 207, 255] {
+        let replayed = replay_plan(&mut make(), seed, index);
+        let expected: Vec<&SweepViolation> = report
+            .violations
+            .iter()
+            .filter(|v| v.plan_index == index)
+            .collect();
+        assert_eq!(
+            replayed.violations.iter().collect::<Vec<_>>(),
+            expected,
+            "plan {index}"
+        );
+    }
+    // Each finding names the event that raised it, which lies after the
+    // previous plan's crash point.
+    let plans: Vec<usize> = make().plans(seed).map(|p| p.boundary).collect();
+    for v in &report.violations {
+        let boundary: usize = v
+            .detail
+            .split("boundary=")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(plans[v.plan_index - 1] < boundary && boundary <= plans[v.plan_index]);
+    }
+}
+
 /// Runs `plans` plans of `sweep` with no wall clock left.
 fn starved<S: Sweep>(mut sweep: S, plans: usize) -> SweepReport {
     let opts = SweepOptions {
@@ -343,6 +417,14 @@ fn starved<S: Sweep>(mut sweep: S, plans: usize) -> SweepReport {
 fn every_sweep_truncates_cleanly_when_the_wall_clock_is_gone() {
     let trace = record_trace(&BTree::default(), 20);
     for report in [
+        starved(
+            CrashPointSweep::new(trace.clone(), PersistencyModel::Epoch).unwrap(),
+            256,
+        ),
+        starved(
+            PerturbSweep::new(trace.clone(), PersistencyModel::Epoch).unwrap(),
+            512,
+        ),
         starved(CorruptSweep::new(trace.clone()).unwrap(), 200),
         starved(SuperviseSweep::new(trace, PersistencyModel::Strict), 50),
         starved(ServeSweep::default(), 50),

@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 
 use pm_baselines::{Nulgrind, PmemcheckLike, PmtestLike, XfdetectorLike};
 use pm_chaos::{
-    replay_plan, run_sweep, CorruptSweep, DaemonCrashSweep, MemPressureSweep, ServeSweep,
-    SuperviseSweep, Sweep, SweepOptions, SweepReport, ThreadCrashSweep,
+    replay_plan, run_sweep, ChaosError, CorruptSweep, CrashPointSweep, DaemonCrashSweep,
+    MemPressureSweep, PerturbSweep, ServeSweep, SuperviseSweep, Sweep, SweepOptions, SweepReport,
+    ThreadCrashSweep,
 };
 use pm_obs::{BugDigest, MetricsRegistry, RunManifest};
 use pm_serve::{
@@ -21,8 +22,7 @@ use pm_serve::{
     SessionStatus,
 };
 use pm_trace::{
-    BugKind, BugSummary, Detector, IngestLimits, IngestMode, OrderSpec, PmRuntime, ReportDigest,
-    Trace,
+    BugSummary, Detector, IngestLimits, IngestMode, OrderSpec, PmRuntime, ReportDigest, Trace,
 };
 use pm_workloads::Workload;
 use pmdebugger::{
@@ -73,14 +73,23 @@ impl SuperviseArgs {
 }
 
 /// The `--sweep` names, in the order the docs list them.
-pub const SWEEPS: [&str; 6] = [
+pub const SWEEPS: [&str; 8] = [
     CorruptSweep::NAME,
     SuperviseSweep::NAME,
     ServeSweep::NAME,
     ThreadCrashSweep::NAME,
     DaemonCrashSweep::NAME,
     MemPressureSweep::NAME,
+    CrashPointSweep::NAME,
+    PerturbSweep::NAME,
 ];
+
+/// The sweeps that record a workload trace (`--workload`, `--ops`).
+const WORKLOAD_SWEEPS: [&str; 2] = [CrashPointSweep::NAME, PerturbSweep::NAME];
+
+/// The workload trace a workload sweep runs without `--workload`: its CI
+/// case.
+const CI_WORKLOAD: (&str, usize) = ("memcached", 64);
 
 /// Flags of `pmdbg chaos --sweep`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,6 +104,11 @@ pub struct SweepArgs {
     pub budget_ms: Option<u64>,
     /// Trace file to corrupt (`corrupt` only, which requires it).
     pub trace: Option<String>,
+    /// Workload to record (`crash-points` and `perturb`; `None` = the CI
+    /// case, memcached).
+    pub workload: Option<String>,
+    /// Operations to record (`None` = the CI case's 64).
+    pub ops: Option<usize>,
     /// Emit the JSON report instead of the human summary.
     pub json: bool,
     /// `--replay <seed>:<index>`: rerun exactly that one plan.
@@ -162,32 +176,9 @@ pub enum Command {
         /// pipeline (pmdebugger only).
         supervise: SuperviseArgs,
     },
-    /// `pmdbg chaos --workload <name> [--ops <n>] [--points <n>]
-    /// [--images <n>] [--seed <n>] [--budget-ms <n>] [--matrix] [--json]`
-    /// — run a crash-point torture campaign (and optionally the
-    /// perturbation sensitivity matrix) over a recorded workload trace.
-    Chaos {
-        /// Workload name.
-        workload: String,
-        /// Operation count.
-        ops: usize,
-        /// Crash-point budget (sampled above this).
-        points: usize,
-        /// Post-crash images per crash point.
-        images: usize,
-        /// Crash-point sampling seed (`None` keeps the library default).
-        seed: Option<u64>,
-        /// Optional wall-clock budget in milliseconds.
-        budget_ms: Option<u64>,
-        /// Also compute the perturbation sensitivity matrix.
-        matrix: bool,
-        /// Emit JSON instead of the human summary.
-        json: bool,
-        /// Write a [`RunManifest`] (JSON) to this path after the campaign.
-        metrics: Option<String>,
-    },
     /// `pmdbg chaos --sweep <name> [--plans <n>] [--seed <n>]
-    /// [--budget-ms <n>] [--trace <file>] [--json] [--replay <seed>:<index>]`
+    /// [--budget-ms <n>] [--trace <file>] [--workload <name>] [--ops <n>]
+    /// [--json] [--replay <seed>:<index>]`
     /// — run one of the seeded chaos sweeps (see [`SWEEPS`]).
     Sweep(SweepArgs),
     /// `pmdbg stats <manifest.json>` — render a run manifest as a table.
@@ -367,11 +358,9 @@ USAGE:
                [--model strict|epoch|strand] [--threads <n>] [--metrics <file>]
                [--max-retries <n>] [--shard-deadline-ms <n>]
                [--fail-mode strict|degrade] [--fault-seed <n>]
-  pmdbg chaos --workload <name> [--ops <n>] [--points <n>] [--images <n>]
-              [--seed <n>] [--budget-ms <n>] [--matrix] [--json]
-              [--metrics <file>]
   pmdbg chaos --sweep <name> [--plans <n>] [--seed <n>] [--budget-ms <n>]
-              [--trace <file>] [--json] [--replay <seed>:<index>]
+              [--trace <file>] [--workload <name>] [--ops <n>] [--json]
+              [--replay <seed>:<index>]
   pmdbg serve --listen <addr> [--model strict|epoch|strand] [--strict]
               [--max-sessions <n>] [--max-events <n>]
               [--session-deadline-ms <n>] [--max-retries <n>]
@@ -404,6 +393,14 @@ SWEEPS:    name, CI --plans, default --seed, faults -> violation kinds (any
                 verdict-recomputed verdict-diverged phantom-verdict ...
   mem-pressure  100  0x7C4A5AD0  starved budgets, allocator vetoes ->
                 verdict-divergence tracked-bytes-leak reject-count-mismatch ...
+  crash-points  71   0xC4A05     crashes at sampled boundaries of a --workload
+                trace (default memcached, --ops 64) -> unrecoverable
+                detector-finding (a fixed cap of 256 plans; --plans keeps
+                a prefix of the ascending sample)
+  perturb       119  0xC4A05     one dropped/duplicated/reordered flush or
+                fence, torn store or moved epoch marker per plan, same
+                --workload default -> tallies only (at most 512 plans, in
+                trace order; --seed is ignored)
 EXIT CODES: 0 clean run, 1 bugs or sweep violations found, 2 bad usage or
             parse/ingest/recover failure, 3 internal error (incl.
             strict-mode shard or session failure), 4 degraded-but-clean
@@ -437,18 +434,6 @@ fn parse_number<T: std::str::FromStr>(name: &str, text: String) -> Result<T, Usa
     text.parse()
         .map_err(|_| UsageError(format!("{name} expects a number")))
 }
-
-/// `chaos` flags only the crash-point campaign reads.
-const CAMPAIGN_FLAGS: [&str; 8] = [
-    "--workload",
-    "-w",
-    "--ops",
-    "-n",
-    "--points",
-    "--images",
-    "--matrix",
-    "--metrics",
-];
 
 /// Parses a `--replay <seed>:<index>` value.
 fn parse_replay(text: &str) -> Result<(u64, usize), UsageError> {
@@ -603,35 +588,20 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             })
         }
         "chaos" => {
-            let mut workload: Option<String> = None;
-            let mut ops = 256usize;
-            let mut points = 256usize;
-            let mut images = 16usize;
-            let mut matrix = false;
-            let mut metrics: Option<String> = None;
             let mut sweep = SweepArgs::default();
             let mut sweep_name: Option<String> = None;
-            // The first campaign-only flag, which --sweep rejects.
-            let mut campaign_flag: Option<String> = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
                     it.next()
                         .cloned()
                         .ok_or_else(|| UsageError(format!("missing value for {name}")))
                 };
-                if CAMPAIGN_FLAGS.contains(&flag.as_str()) {
-                    campaign_flag.get_or_insert_with(|| flag.clone());
-                }
                 match flag.as_str() {
-                    "--workload" | "-w" => workload = Some(value(flag)?),
-                    "--ops" | "-n" => ops = parse_number(flag, value(flag)?)?,
-                    "--points" => points = parse_number(flag, value(flag)?)?,
-                    "--images" => images = parse_number(flag, value(flag)?)?,
-                    "--matrix" => matrix = true,
-                    "--metrics" => metrics = Some(value(flag)?),
                     "--sweep" => sweep_name = Some(value(flag)?),
                     "--plans" => sweep.plans = Some(parse_number(flag, value(flag)?)?),
                     "--trace" => sweep.trace = Some(value(flag)?),
+                    "--workload" | "-w" => sweep.workload = Some(value(flag)?),
+                    "--ops" | "-n" => sweep.ops = Some(parse_number(flag, value(flag)?)?),
                     "--replay" => sweep.replay = Some(parse_replay(&value(flag)?)?),
                     "--seed" => sweep.seed = Some(parse_number(flag, value(flag)?)?),
                     "--budget-ms" => sweep.budget_ms = Some(parse_number(flag, value(flag)?)?),
@@ -640,29 +610,11 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 }
             }
             let Some(name) = sweep_name else {
-                if sweep.plans.is_some() || sweep.trace.is_some() || sweep.replay.is_some() {
-                    return Err(UsageError(
-                        "--plans, --trace and --replay need --sweep".into(),
-                    ));
-                }
-                return Ok(Command::Chaos {
-                    workload: workload
-                        .ok_or_else(|| UsageError("--workload is required".into()))?,
-                    ops,
-                    points,
-                    images,
-                    seed: sweep.seed,
-                    budget_ms: sweep.budget_ms,
-                    matrix,
-                    json: sweep.json,
-                    metrics,
-                });
-            };
-            if let Some(flag) = campaign_flag {
                 return Err(UsageError(format!(
-                    "{flag} is a crash-point campaign flag; --sweep does not take it"
+                    "chaos needs --sweep <name> (one of: {})",
+                    SWEEPS.join(", ")
                 )));
-            }
+            };
             if !SWEEPS.contains(&name.as_str()) {
                 return Err(UsageError(format!(
                     "unknown sweep `{name}` (one of: {})",
@@ -673,6 +625,14 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 return Err(UsageError(
                     "--trace is required by --sweep corrupt and read by no other sweep".into(),
                 ));
+            }
+            if (sweep.workload.is_some() || sweep.ops.is_some())
+                && !WORKLOAD_SWEEPS.contains(&name.as_str())
+            {
+                return Err(UsageError(format!(
+                    "--workload and --ops are read by --sweep {} only",
+                    WORKLOAD_SWEEPS.join(" and ")
+                )));
             }
             if sweep.replay.is_some() && (sweep.seed.is_some() || sweep.plans.is_some()) {
                 return Err(UsageError(
@@ -1312,6 +1272,22 @@ pub fn execute(command: Command, out: &mut dyn fmt::Write) -> Result<(), String>
         .map_err(|e| e.message().to_owned())
 }
 
+/// Records the trace a workload sweep runs over: `--workload`/`--ops`,
+/// or the CI case, under the workload's own persistency model.
+fn workload_sweep_trace(args: &SweepArgs) -> Result<(Trace, PersistencyModel), ExecError> {
+    let name = args.workload.as_deref().unwrap_or(CI_WORKLOAD.0);
+    let workload = workload_by_name(name)
+        .ok_or_else(|| ExecError::Input(format!("unknown workload `{name}` (try `pmdbg list`)")))?;
+    let trace = pm_workloads::record_trace(workload.as_ref(), args.ops.unwrap_or(CI_WORKLOAD.1));
+    Ok((trace, persistency(workload.model())))
+}
+
+/// A sweep that cannot start over its input (an empty or oversized
+/// trace) is an input error.
+fn sweep_setup(e: ChaosError) -> ExecError {
+    ExecError::Input(format!("sweep setup failed: {e}"))
+}
+
 /// Runs `sweep` as `args` asks: the whole seeded sweep, or one replayed
 /// plan.
 fn sweep_report<S: Sweep>(mut sweep: S, args: &SweepArgs) -> SweepReport {
@@ -1378,123 +1354,6 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             let evaluation = pm_bugs::evaluate(&clean);
             write!(out, "{}", pm_bugs::render_table6(&evaluation)).map_err(wr)?;
             Ok(Outcome::clean())
-        }
-        Command::Chaos {
-            workload,
-            ops,
-            points,
-            images,
-            seed,
-            budget_ms,
-            matrix,
-            json,
-            metrics,
-        } => {
-            let workload = workload_by_name(&workload).ok_or_else(|| {
-                ExecError::Input(format!("unknown workload `{workload}` (try `pmdbg list`)"))
-            })?;
-            let trace = pm_workloads::record_trace(workload.as_ref(), ops);
-            let model = persistency(workload.model());
-            let mut budget = pm_chaos::Budget::default()
-                .with_crash_points(points)
-                .with_images_per_point(images);
-            if let Some(seed) = seed {
-                budget = budget.with_seed(seed);
-            }
-            if let Some(ms) = budget_ms {
-                budget = budget.with_wall_clock(std::time::Duration::from_millis(ms));
-            }
-            let registry = metrics.as_ref().map(|_| MetricsRegistry::new());
-            let mut campaign = pm_chaos::Campaign::new(model).with_budget(budget.clone());
-            if let Some(registry) = &registry {
-                campaign = campaign.with_metrics(registry.clone());
-            }
-            let report = campaign
-                .run(workload.name(), &trace)
-                .map_err(|e| ExecError::Internal(format!("campaign failed: {e}")))?;
-            if json {
-                writeln!(out, "{}", report.to_json()).map_err(wr)?;
-            } else {
-                writeln!(
-                    out,
-                    "{} x{}: {} crash points ({} tested), {} images, {} issue(s) in {} ms",
-                    workload.name(),
-                    ops,
-                    report.boundaries_total,
-                    report.boundaries_tested,
-                    report.images_tested,
-                    report.issues(),
-                    report.wall_ms
-                )
-                .map_err(wr)?;
-                for state in &report.unrecoverable {
-                    writeln!(
-                        out,
-                        "  unrecoverable [{}] addr={:#x} size={} at boundary {}{}: {}",
-                        state.validator,
-                        state.addr,
-                        state.size,
-                        state.boundary,
-                        match state.minimized_prefix {
-                            Some(p) => format!(" (minimized to {p})"),
-                            None => String::new(),
-                        },
-                        state.detail
-                    )
-                    .map_err(wr)?;
-                }
-                for (kind, count) in &report.detector_findings {
-                    writeln!(out, "  detector {kind}: {count}").map_err(wr)?;
-                }
-                for truncation in &report.truncations {
-                    writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                }
-                if report.complete() && report.issues() == 0 {
-                    writeln!(out, "  no issues; sweep exhaustive").map_err(wr)?;
-                }
-            }
-            if matrix {
-                let sensitivity = pm_chaos::sensitivity_matrix(&trace, model, &budget);
-                if json {
-                    writeln!(out, "{}", sensitivity.to_json()).map_err(wr)?;
-                } else {
-                    for (class, row) in &sensitivity.rows {
-                        writeln!(
-                            out,
-                            "  {class}: injected={} benign={} detected={:?}",
-                            row.injected, row.benign, row.detected
-                        )
-                        .map_err(wr)?;
-                    }
-                }
-            }
-            if let (Some(registry), Some(path)) = (&registry, &metrics) {
-                count_trace_kinds(registry, &trace);
-                // The campaign's differential detector pass yields kind
-                // counts, not reports: digest those (no report hash).
-                let mut digest = ReportDigest::default();
-                for (name, &count) in &report.detector_findings {
-                    if let Some(i) = BugKind::ALL.iter().position(|k| k.name() == name) {
-                        digest.counts[i] = count as u64;
-                    }
-                }
-                let digest = BugDigest {
-                    report_hash: String::new(),
-                    ..manifest_digest(registry, &digest, true)
-                };
-                write_manifest(
-                    path,
-                    "chaos",
-                    workload.name(),
-                    model_label(model),
-                    ops,
-                    1,
-                    registry,
-                    digest,
-                    out,
-                )?;
-            }
-            Ok(Outcome::from_report_count(report.issues()))
         }
         Command::Stats { file } => {
             let text = std::fs::read_to_string(&file)
@@ -1775,6 +1634,17 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                     &args,
                 ),
                 "mem-pressure" => sweep_report(MemPressureSweep, &args),
+                "crash-points" => {
+                    let (trace, model) = workload_sweep_trace(&args)?;
+                    sweep_report(
+                        CrashPointSweep::new(trace, model).map_err(sweep_setup)?,
+                        &args,
+                    )
+                }
+                "perturb" => {
+                    let (trace, model) = workload_sweep_trace(&args)?;
+                    sweep_report(PerturbSweep::new(trace, model).map_err(sweep_setup)?, &args)
+                }
                 other => return Err(ExecError::Input(format!("unknown sweep `{other}`"))),
             };
             if args.json {
@@ -2247,25 +2117,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_chaos_with_defaults() {
-        let cmd = parse(&args(&["chaos", "--workload", "hashmap_atomic"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Chaos {
-                workload: "hashmap_atomic".into(),
-                ops: 256,
-                points: 256,
-                images: 16,
-                seed: None,
-                budget_ms: None,
-                matrix: false,
-                json: false,
-                metrics: None,
-            }
-        );
-    }
-
-    #[test]
     fn parses_every_sweep_and_rejects_misuse() {
         let words = |line: &str| args(&line.split_whitespace().collect::<Vec<_>>());
         for name in SWEEPS {
@@ -2288,6 +2139,14 @@ mod tests {
             };
             assert_eq!(parse(&words(&line)).unwrap(), Command::Sweep(all));
         }
+        let cmd = parse(&words("chaos --sweep crash-points -w b_tree -n 64")).unwrap();
+        let workload = SweepArgs {
+            sweep: "crash-points".into(),
+            workload: Some("b_tree".into()),
+            ops: Some(64),
+            ..SweepArgs::default()
+        };
+        assert_eq!(cmd, Command::Sweep(workload));
         let cmd = parse(&words("chaos --sweep serve --replay 1582633093:17")).unwrap();
         assert!(
             matches!(&cmd, Command::Sweep(a) if a.replay == Some((1_582_633_093, 17))),
@@ -2310,7 +2169,31 @@ mod tests {
             ("chaos --plans 3 -w b_tree", "--plans needs --sweep"),
             ("chaos --sweep thread-crash --ops 24", "ops is a constant"),
             ("chaos --sweep corrupt", "corrupt needs a trace"),
-            ("chaos --sweep corrupt --trace a -w b", "campaign flag"),
+            (
+                "chaos --sweep corrupt --trace a -w b",
+                "workload sweeps only",
+            ),
+            (
+                "chaos --sweep perturb --trace a",
+                "perturb records its trace",
+            ),
+            ("chaos", "chaos needs --sweep"),
+            (
+                "chaos -w memcached",
+                "the campaign became --sweep crash-points",
+            ),
+            (
+                "chaos --sweep crash-points --points 8",
+                "plans are crash points",
+            ),
+            (
+                "chaos --sweep crash-points --images 8",
+                "the image cap is fixed",
+            ),
+            (
+                "chaos --sweep perturb --matrix",
+                "the matrix became --sweep perturb",
+            ),
             (
                 "chaos --sweep supervise --trace a",
                 "only corrupt reads --trace",
@@ -2365,6 +2248,17 @@ mod tests {
                 &["\"verdict_divergence\":0"],
             ),
             (
+                sweep("crash-points", 71, CrashPointSweep::DEFAULT_SEED),
+                &["\"plans_run\":71", "\"boundaries\":71", "\"images\":149"],
+            ),
+            (
+                sweep("perturb", 119, PerturbSweep::DEFAULT_SEED),
+                &[
+                    "\"plans_run\":119",
+                    "\"tear-store\":{\"benign\":36,\"escaped\":1",
+                ],
+            ),
+            (
                 SweepArgs {
                     sweep: "thread-crash".into(),
                     ..replay
@@ -2403,88 +2297,34 @@ mod tests {
     }
 
     #[test]
-    fn parses_chaos_with_all_flags() {
-        let cmd = parse(&args(&[
-            "chaos",
-            "--workload",
-            "memcached",
-            "--ops",
-            "32",
-            "--points",
-            "64",
-            "--images",
-            "8",
-            "--seed",
-            "5",
-            "--budget-ms",
-            "500",
-            "--matrix",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Chaos {
-                workload: "memcached".into(),
-                ops: 32,
-                points: 64,
-                images: 8,
-                seed: Some(5),
-                budget_ms: Some(500),
-                matrix: true,
-                json: true,
-                metrics: None,
-            }
+    fn crash_points_fails_on_a_buggy_workload_and_names_its_input() {
+        let args = SweepArgs {
+            sweep: "crash-points".into(),
+            workload: Some("b_tree".into()),
+            ops: Some(64),
+            json: true,
+            ..SweepArgs::default()
+        };
+        let mut out = String::new();
+        let outcome = execute_outcome(Command::Sweep(args.clone()), &mut out).unwrap();
+        assert!(outcome.bugs_found, "{out}");
+        assert!(out.contains("\"kind\":\"unrecoverable\""), "{out}");
+        assert!(
+            out.contains("tx-log addr=0x100100 size=216 boundary=220"),
+            "{out}"
         );
-        assert!(parse(&args(&["chaos"])).is_err());
-        assert!(parse(&args(&["chaos", "--workload", "x", "--points", "y"])).is_err());
-    }
-
-    #[test]
-    fn chaos_campaign_runs_and_summarizes() {
-        let mut out = String::new();
-        execute(
-            Command::Chaos {
-                workload: "hashmap_atomic".into(),
-                ops: 16,
-                points: 48,
-                images: 4,
-                budget_ms: None,
-                matrix: false,
-                json: false,
-                metrics: None,
-                seed: None,
-            },
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("crash points"), "{out}");
-        assert!(out.contains("issue(s)"), "{out}");
-    }
-
-    #[test]
-    fn chaos_json_and_matrix_emit_json() {
-        let mut out = String::new();
-        execute(
-            Command::Chaos {
-                workload: "hashmap_atomic".into(),
-                ops: 8,
-                points: 24,
-                images: 4,
-                budget_ms: None,
-                matrix: true,
-                json: true,
-                metrics: None,
-                seed: None,
-            },
-            &mut out,
-        )
-        .unwrap();
-        let mut lines = out.lines();
-        let report = lines.next().unwrap();
-        let matrix = lines.next().unwrap();
-        assert!(report.starts_with('{') && report.contains("\"workload\":\"hashmap_atomic\""));
-        assert!(matrix.starts_with('{') && matrix.contains("\"rows\""));
+        for (workload, ops, error) in [("nope", 8, "unknown workload"), ("b_tree", 0, "no events")]
+        {
+            let args = SweepArgs {
+                workload: Some(workload.into()),
+                ops: Some(ops),
+                ..args.clone()
+            };
+            match execute_outcome(Command::Sweep(args), &mut String::new()) {
+                Err(ExecError::Input(message)) => assert!(message.contains(error), "{message}"),
+                other => panic!("{workload} x{ops}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -2583,14 +2423,17 @@ mod tests {
                 ..
             }
         ));
-        let cmd = parse(&args(&["chaos", "-w", "b_tree", "--metrics", "m.json"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Chaos {
-                metrics: Some(_),
-                ..
-            }
-        ));
+        assert!(
+            parse(&args(&[
+                "chaos",
+                "--sweep",
+                "crash-points",
+                "--metrics",
+                "m"
+            ]))
+            .is_err(),
+            "sweeps write no manifest"
+        );
         assert_eq!(
             parse(&args(&["stats", "m.json"])).unwrap(),
             Command::Stats {
@@ -2601,7 +2444,7 @@ mod tests {
         assert!(parse(&args(&["stats", "a", "b"])).is_err(), "one file only");
         assert!(
             parse(&args(&["characterize", "-w", "x", "--metrics", "m"])).is_err(),
-            "--metrics is a run/replay/chaos flag"
+            "--metrics is a run/replay flag"
         );
     }
 
@@ -2734,35 +2577,6 @@ mod tests {
         );
         std::fs::remove_file(trace_path).ok();
         std::fs::remove_file(manifest_path).ok();
-    }
-
-    #[test]
-    fn chaos_with_metrics_exports_campaign_counters() {
-        let path = std::env::temp_dir().join("pmdbg_cli_chaos_metrics.json");
-        let mut out = String::new();
-        execute(
-            Command::Chaos {
-                workload: "hashmap_atomic".into(),
-                ops: 16,
-                points: 48,
-                images: 4,
-                budget_ms: None,
-                matrix: false,
-                json: false,
-                metrics: Some(path.to_str().unwrap().to_owned()),
-                seed: None,
-            },
-            &mut out,
-        )
-        .unwrap();
-        let manifest = RunManifest::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(manifest.tool, "chaos");
-        assert_eq!(manifest.counters["chaos.campaigns"], 1);
-        assert!(manifest.counters["chaos.boundaries_tested"] > 0);
-        assert!(manifest.counters["chaos.images_tested"] > 0);
-        assert!(manifest.events_total > 0);
-        assert!(manifest.stages.contains_key("chaos_sweep"));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -3834,39 +3648,33 @@ mod tests {
     }
 
     #[test]
-    fn chaos_seed_changes_sampled_boundaries_and_is_deterministic() {
-        // 8 crash points out of the trace's many boundaries: sampled.
-        let campaign = |seed: Option<u64>| {
+    fn crash_point_seed_changes_sampled_boundaries_and_is_deterministic() {
+        // hashmap_atomic x64 has 515 boundaries: more than the 256 plans.
+        let sampled = |seed: Option<u64>| {
+            let args = SweepArgs {
+                sweep: "crash-points".into(),
+                workload: Some("hashmap_atomic".into()),
+                seed,
+                json: true,
+                ..SweepArgs::default()
+            };
             let mut out = String::new();
-            execute(
-                Command::Chaos {
-                    workload: "hashmap_atomic".into(),
-                    ops: 16,
-                    points: 8,
-                    images: 4,
-                    seed,
-                    budget_ms: None,
-                    matrix: false,
-                    json: true,
-                    metrics: None,
-                },
-                &mut out,
-            )
-            .unwrap();
-            let mut json = pm_obs::json::Value::parse(out.trim()).unwrap();
-            let total = json.get("boundaries_total").and_then(|v| v.as_u64());
-            assert!(total.unwrap() > 8, "{out}");
-            if let pm_obs::json::Value::Obj(map) = &mut json {
-                map.remove("wall_ms");
-            }
-            json.to_string()
+            execute(Command::Sweep(args), &mut out).unwrap();
+            let json = pm_obs::json::Value::parse(out.trim()).unwrap();
+            assert_eq!(
+                json.get("tallies").and_then(|t| t.get("boundaries")),
+                Some(&pm_obs::json::Value::UInt(515)),
+                "{out}"
+            );
+            let field = |key: &str| json.get(key).map(ToString::to_string);
+            (field("tallies"), field("plan_mix"))
         };
-        assert_eq!(campaign(Some(11)), campaign(Some(11)));
-        assert_ne!(campaign(Some(11)), campaign(Some(12)));
+        assert_eq!(sampled(Some(11)), sampled(Some(11)));
+        assert_ne!(sampled(Some(11)), sampled(Some(12)));
         assert_eq!(
-            campaign(None),
-            campaign(Some(0xC4A05)),
-            "no --seed keeps the library default"
+            sampled(None),
+            sampled(Some(CrashPointSweep::DEFAULT_SEED)),
+            "no --seed keeps the sweep's default"
         );
     }
 }

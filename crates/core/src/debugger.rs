@@ -7,7 +7,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use pm_obs::{Counter, MetricsRegistry};
 use pm_trace::{
-    Addr, BugKind, BugReport, Detector, FenceKind, PmEvent, PmEventRef, StrandId, ThreadId,
+    Addr, BugKind, BugReport, Detector, FenceKind, PmEvent, PmEventRef, ReportDigest, StrandId,
+    ThreadId,
 };
 
 use crate::ckpt::{self, CheckpointDecodeError, CkptReader, CkptWriter};
@@ -937,13 +938,14 @@ impl Detector for PmDebugger {
             // Computed before the mutable borrow of `self.metrics` below.
             let stats = self.stats();
             let events_processed = self.events_processed;
-            let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
+            let mut by_kind = ReportDigest::default();
             for report in &self.reports {
-                *by_kind.entry(report.kind.name()).or_default() += 1;
+                by_kind.count(report);
             }
             if let Some(metrics) = self.metrics.as_mut() {
-                for (kind, fired) in by_kind {
-                    metrics.registry.counter(&format!("rule.{kind}")).add(fired);
+                for (kind, fired) in by_kind.kinds() {
+                    let name = format!("rule.{}", kind.name());
+                    metrics.registry.counter(&name).add(fired);
                 }
                 metrics
                     .events

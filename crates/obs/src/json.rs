@@ -485,6 +485,12 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_handles_controls() {
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
     fn large_u64_survives_round_trip() {
         let n = u64::MAX;
         let text = Value::UInt(n).to_string();

@@ -239,9 +239,15 @@ impl Default for ReportDigest {
 }
 
 impl ReportDigest {
+    /// Counts one more report by kind, leaving the hash alone — for
+    /// callers that read only [`ReportDigest::kinds`].
+    pub fn count(&mut self, report: &BugReport) {
+        self.counts[report.kind as usize] += 1;
+    }
+
     /// Folds one more report (in list order) into the digest.
     pub fn push(&mut self, report: &BugReport) {
-        self.counts[report.kind as usize] += 1;
+        self.count(report);
         // 0xff separates records.
         for byte in report.to_string().bytes().chain([0xff]) {
             self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);

@@ -38,7 +38,8 @@
 #             stage (`scripts/ci.sh sweep-serve` runs one): `pmdbg chaos
 #             --sweep <name> --plans <n> --json` at the default seed, gated
 #             on "ok":true, "aborts":0, "plans_run":<n>, the [zero]
-#             counters and the {pinned} tallies (exact values). A violation
+#             counters and the {pinned} tallies (exact values; a
+#             `group.name` pin matches inside that tally group). A violation
 #             names its plan; `pmdbg chaos --sweep <name> --replay
 #             <seed>:<index>` reruns exactly that plan.
 #               name          plans  seed        faults -> violation kinds [zero] {pinned}
@@ -66,6 +67,14 @@
 #               mem-pressure  100    0x7C4A5AD0  starved budgets, allocator vetoes
 #                                                -> verdict-divergence tracked-
 #                                                bytes-leak ... [verdict_divergence]
+#               crash-points  71     0xC4A05     crashes at every boundary of the
+#                             (memcached x64)    CI trace -> unrecoverable
+#                                                detector-finding {boundaries
+#                                                images untested}
+#               perturb       119    0xC4A05     one-event flush/fence/store/epoch
+#                             (memcached x64)    faults -> tallies only
+#                                                {<class>.injected .benign
+#                                                .escaped for all 7 classes}
 #             (every sweep can also report `abort`; full kinds: `pmdbg help`)
 # daemon-smoke
 #             start `pmdbg serve` as a real process, push the committed
@@ -156,8 +165,19 @@ docs_stage() {
 
 # The sweep runs CI gates, one row each: sweep name, plan count, gated
 # counters ("-" for none), then extra pmdbg args. A bare counter must be
-# present and zero; `key=value` pins a tally to exactly that value.
-SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure)
+# present and zero; `key=value` pins a tally to exactly that value, and
+# `group.key=value` pins it inside the `group` object. Per fault class of
+# the perturb sweep: injections, benign ones, and semantic ones that
+# escaped all four detectors (the one torn store is a known blind spot).
+PERTURB_PINS="drop-flush.injected=20,drop-flush.benign=0,drop-flush.escaped=0"
+PERTURB_PINS+=",drop-fence.injected=14,drop-fence.benign=13,drop-fence.escaped=0"
+PERTURB_PINS+=",duplicate-flush.injected=20,duplicate-flush.benign=20,duplicate-flush.escaped=0"
+PERTURB_PINS+=",duplicate-fence.injected=14,duplicate-fence.benign=14,duplicate-fence.escaped=0"
+PERTURB_PINS+=",reorder-flush-fence.injected=14,reorder-flush-fence.benign=13"
+PERTURB_PINS+=",reorder-flush-fence.escaped=0,tear-store.injected=37,tear-store.benign=36"
+PERTURB_PINS+=",tear-store.escaped=1,swap-epoch-markers.injected=0"
+PERTURB_PINS+=",swap-epoch-markers.benign=0,swap-epoch-markers.escaped=0"
+SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure crash-points perturb)
 SWEEP_RUNS=(
   "corrupt 500 panics --trace tests/fixtures/btree_96.pmt2"
   "corrupt 500 panics --trace tests/fixtures/hashmap_atomic_48.trace"
@@ -166,10 +186,12 @@ SWEEP_RUNS=(
   "thread-crash 100 -"
   "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=71,torn_discarded_total=42"
   "mem-pressure 100 verdict_divergence"
+  "crash-points 71 boundaries=71,images=149,untested=0"
+  "perturb 119 ${PERTURB_PINS}"
 )
 
 sweep_stage() {
-  local name="$1" row row_name plans zeros extra report gate key ran=0 rc
+  local name="$1" row row_name plans zeros extra report gate key pin ran=0 rc
   for row in "${SWEEP_RUNS[@]}"; do
     read -r row_name plans zeros extra <<<"${row}"
     [ "${row_name}" = "${name}" ] || continue
@@ -185,7 +207,12 @@ sweep_stage() {
     local gates=('"ok":true' '"aborts":0' "\"plans_run\":${plans}[,}]")
     for key in ${zeros//,/ }; do
       if [[ "${key}" == *=* ]]; then
-        gates+=("\"${key%%=*}\":${key#*=}[,}]")
+        pin="${key%%=*}"
+        if [[ "${pin}" == *.* ]]; then
+          gates+=("\"${pin%%.*}\":{[^}]*\"${pin#*.}\":${key#*=}[,}]")
+        else
+          gates+=("\"${pin}\":${key#*=}[,}]")
+        fi
         continue
       fi
       gates+=("\"${key}\":0")
