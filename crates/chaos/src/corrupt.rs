@@ -29,12 +29,13 @@ use std::fmt;
 use std::time::Duration;
 
 use pm_trace::{
-    frame_spans, ingest_bytes, replay_finish, to_binary, IngestLimits, IngestMode, Trace,
+    frame_spans, ingest_bytes, replay_finish, splitmix64, to_binary, IngestLimits, IngestMode,
+    Trace,
 };
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
 use crate::error::ChaosError;
-use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
 
 /// Per-image wall-clock ceiling handed to the salvage reader. Generous —
 /// the fixtures are small — but finite, so a reader bug that loops shows

@@ -38,14 +38,12 @@ use pm_serve::{
     fetch_stats, session_preface, JournalEnv, JournalIo, Listen, PushResponse, ServeConfig, Server,
     SessionStatus, JOURNAL_FILE_MAGIC,
 };
-use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode};
+use pm_trace::{ingest_bytes, splitmix64, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, PersistencyModel};
 
 use crate::serve_sweep::push_with_retry;
-use crate::sweep::{
-    batch_reports, hash_hex, splitmix64, temp_path, Sweep, SweepViolation, Tallies,
-};
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// How the injected journal filesystem misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

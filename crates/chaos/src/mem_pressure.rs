@@ -27,13 +27,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pm_serve::{push_bytes, Listen, PushResponse, ServeConfig, Server, SessionStatus};
-use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode};
+use pm_trace::{ingest_bytes, splitmix64, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, GovernorConfig, GovernorCounters, MemGovernor, PersistencyModel};
 
-use crate::sweep::{
-    batch_reports, hash_hex, splitmix64, temp_path, Sweep, SweepViolation, Tallies,
-};
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// The memory scenario one plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -73,55 +73,49 @@ pub struct Perturbation {
     pub index: usize,
 }
 
-/// Enumerates every applicable single-event perturbation of `trace`.
+/// Enumerates every applicable single-event perturbation of `trace`,
+/// round-robin over [`FaultClass::ALL`] and in trace order within each
+/// class. A prefix of the list, such as a sweep capped at its plan count,
+/// thus takes its share of every class the trace admits instead of
+/// filling up with the torn stores of a store-heavy trace.
 pub fn perturbations(trace: &Trace) -> Vec<Perturbation> {
     let events = trace.events();
-    let mut out = Vec::new();
+    let mut by_class: [Vec<usize>; FaultClass::ALL.len()] = Default::default();
     for (index, event) in events.iter().enumerate() {
         let next = events.get(index + 1);
+        let mut add = |class: FaultClass| by_class[class as usize].push(index);
         match event {
             PmEvent::Flush { .. } => {
-                out.push(Perturbation {
-                    class: FaultClass::DropFlush,
-                    index,
-                });
-                out.push(Perturbation {
-                    class: FaultClass::DuplicateFlush,
-                    index,
-                });
+                add(FaultClass::DropFlush);
+                add(FaultClass::DuplicateFlush);
                 if matches!(next, Some(PmEvent::Fence { .. })) {
-                    out.push(Perturbation {
-                        class: FaultClass::ReorderFlushFence,
-                        index,
-                    });
+                    add(FaultClass::ReorderFlushFence);
                 }
             }
             PmEvent::Fence { .. } => {
-                out.push(Perturbation {
-                    class: FaultClass::DropFence,
-                    index,
-                });
-                out.push(Perturbation {
-                    class: FaultClass::DuplicateFence,
-                    index,
-                });
+                add(FaultClass::DropFence);
+                add(FaultClass::DuplicateFence);
                 if matches!(next, Some(PmEvent::EpochEnd { .. })) {
-                    out.push(Perturbation {
-                        class: FaultClass::SwapEpochMarkers,
-                        index,
-                    });
+                    add(FaultClass::SwapEpochMarkers);
                 }
             }
-            PmEvent::Store { size, .. } if *size >= 2 => {
-                out.push(Perturbation {
-                    class: FaultClass::TearStore,
-                    index,
-                });
-            }
+            PmEvent::Store { size, .. } if *size >= 2 => add(FaultClass::TearStore),
             _ => {}
         }
     }
-    out
+    let rounds = by_class.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|round| {
+            FaultClass::ALL
+                .into_iter()
+                .zip(&by_class)
+                .filter_map(move |(class, indices)| {
+                    indices
+                        .get(round)
+                        .map(|&index| Perturbation { class, index })
+                })
+        })
+        .collect()
 }
 
 /// Applies one perturbation, or `None` when it does not fit the event at
@@ -240,7 +234,8 @@ pub type PerturbOutcome = Option<[bool; 4]>;
 /// plan tallies `<class>.injected`, then either `<class>.benign` or, per
 /// detector, `<class>.<detector>_detected` / `<class>.<detector>_missed`;
 /// a semantic perturbation no detector flagged also counts as
-/// `<class>.escaped`. A perturbation is flagged when the detector reports
+/// `<class>.escaped`, and `untested` counts the candidates a capped run
+/// left out. A perturbation is flagged when the detector reports
 /// a kind more often than over the clean trace. Detector blind spots are
 /// tallies, not violations: they describe the tools, not a broken
 /// invariant. A detector panic on a mutated stream is an abort.
@@ -251,6 +246,7 @@ pub struct PerturbSweep {
     candidates: Vec<Perturbation>,
     fingerprint: Fingerprint,
     base: [ReportDigest; 4],
+    plans_run: usize,
 }
 
 impl PerturbSweep {
@@ -270,6 +266,7 @@ impl PerturbSweep {
             base: detector_counts(&trace, model),
             trace,
             model,
+            plans_run: 0,
         })
     }
 }
@@ -281,7 +278,7 @@ impl Sweep for PerturbSweep {
     type Plan = Perturbation;
     type Outcome = PerturbOutcome;
 
-    /// The candidates in trace order: the seed changes nothing.
+    /// The candidates in [`perturbations`] order: the seed changes nothing.
     fn plans(&self, _seed: u64) -> Box<dyn Iterator<Item = Perturbation>> {
         Box::new(self.candidates.clone().into_iter())
     }
@@ -291,6 +288,7 @@ impl Sweep for PerturbSweep {
     }
 
     fn run(&mut self, plan: &Perturbation) -> PerturbOutcome {
+        self.plans_run += 1;
         let mutated = apply(&self.trace, plan).expect("enumerated perturbations apply");
         if semantic_fingerprint(&mutated) == self.fingerprint {
             return None;
@@ -329,6 +327,8 @@ impl Sweep for PerturbSweep {
     }
 
     fn finish(&mut self, tallies: &mut Tallies) -> Vec<SweepViolation> {
+        let tested = std::mem::take(&mut self.plans_run).min(self.candidates.len());
+        tallies.add("untested", (self.candidates.len() - tested) as u64);
         for class in FaultClass::ALL {
             for key in ["injected", "benign", "escaped"] {
                 tallies.add(&format!("{}.{key}", class.name()), 0);
@@ -447,6 +447,43 @@ mod tests {
             let missed = report.tally(&format!("{}.pmdebugger_missed", class.name()));
             assert_eq!(missed, 0, "{}", report.to_json());
         }
+    }
+
+    #[test]
+    fn a_capped_sweep_reaches_every_class_the_trace_admits() {
+        // Epoch b_tree x64: 2,360 candidates, 1,608 of them torn stores,
+        // which in trace order took 347 of the first 512 plans and left
+        // 14 for each fence class.
+        let trace = pm_workloads::record_trace(&pm_workloads::BTree::default(), 64);
+        let all = perturbations(&trace);
+        let capped = PerturbSweep::DEFAULT_PLANS;
+        assert!(all.len() > capped, "{} candidates", all.len());
+        let present = FaultClass::ALL
+            .iter()
+            .filter(|&&class| all.iter().any(|p| p.class == class))
+            .count();
+        assert_eq!(present, FaultClass::ALL.len());
+        for class in FaultClass::ALL {
+            let indices: Vec<usize> = all
+                .iter()
+                .filter(|p| p.class == class)
+                .map(|p| p.index)
+                .collect();
+            assert!(indices.windows(2).all(|w| w[0] < w[1]), "{}", class.name());
+            // Round-robin: every class gets its share of the cap, or all
+            // of its candidates when it has fewer.
+            let share = indices.len().min(capped / present);
+            let ran = all[..capped].iter().filter(|p| p.class == class).count();
+            assert!(
+                ran >= share,
+                "{}: {ran} of the first {capped} plans",
+                class.name()
+            );
+        }
+        let mut sweep = PerturbSweep::new(trace, PersistencyModel::Epoch).unwrap();
+        let report = run_sweep(&mut sweep, &SweepOptions::new(capped, 1));
+        assert_eq!(report.tally("untested"), (all.len() - capped) as u64);
+        assert_eq!(sweep_clean(3).tally("untested"), 0);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 
 use std::collections::HashMap;
 
-use pm_trace::PmEvent;
+use pm_trace::{splitmix64, PmEvent};
 use pmem_sim::{line_base, lines_covering, PmPool, CACHE_LINE_SIZE};
 
 use crate::error::ChaosError;
-use crate::sweep::splitmix64;
 
 /// One per-line piece of an original address range in the compact pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

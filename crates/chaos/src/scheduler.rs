@@ -28,13 +28,13 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use pm_trace::{PmEvent, ReportDigest, Trace};
+use pm_trace::{splitmix64, PmEvent, ReportDigest, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel};
 use pmem_sim::CrashImage;
 
 use crate::error::ChaosError;
 use crate::replay::ReplayContext;
-use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
 use crate::validate::{ValidatorSet, Violation};
 
 /// Post-crash images enumerated per crash point.

@@ -34,13 +34,11 @@ use pm_serve::{
     client::connect_stream, fetch_stats, push_bytes, push_bytes_keyed, FaultPoint, Listen,
     PushResponse, ServeConfig, Server, SessionStatus,
 };
-use pm_trace::{ingest_bytes, to_binary, IngestLimits, IngestMode, PmEvent};
+use pm_trace::{ingest_bytes, splitmix64, to_binary, IngestLimits, IngestMode, PmEvent};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, DetectSession, PersistencyModel};
 
-use crate::sweep::{
-    batch_reports, hash_hex, splitmix64, temp_path, Sweep, SweepViolation, Tallies,
-};
+use crate::sweep::{batch_reports, hash_hex, temp_path, Sweep, SweepViolation, Tallies};
 
 /// What one hostile client does to the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

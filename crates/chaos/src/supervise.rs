@@ -24,14 +24,14 @@
 
 use std::time::Duration;
 
-use pm_trace::{BugReport, Trace};
+use pm_trace::{splitmix64, BugReport, Trace};
 use pm_workloads::{record_trace, HashmapAtomic};
 use pmdebugger::{
     detect_supervised, expected_surviving_reports, DebuggerConfig, FailMode, FaultPlan,
     ParallelConfig, PersistencyModel, SupervisedOutcome, SupervisorConfig,
 };
 
-use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
 
 /// Worker-thread counts cycled across plans.
 const THREADS: [usize; 4] = [2, 3, 4, 8];

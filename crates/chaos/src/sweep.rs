@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use pm_obs::json::Value;
 use pm_trace::{report_hash, BugReport, PmEvent};
-use pmdebugger::{DebuggerConfig, PmDebugger};
+use pmdebugger::{panic_message, DebuggerConfig, PmDebugger};
 
 /// Schema tag of the JSON report.
 const REPORT_SCHEMA: &str = "pm-chaos-sweep-v1";
@@ -396,24 +396,6 @@ fn drive<S: Sweep>(
     report
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    panic
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string payload")
-}
-
-/// The splitmix64 step — the crate's only randomness: it expands sweep
-/// seeds into plans and fills replayed stores with reproducible bytes.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The offline reference every sweep's verdicts are held to: one
 /// uninterrupted sequential detection over `events`.
 pub(crate) fn batch_reports(config: &DebuggerConfig, events: &[PmEvent]) -> Vec<BugReport> {
@@ -457,13 +439,5 @@ mod tests {
             total: 99,
         };
         assert_eq!(t.to_string(), "wall clock expired after 10 of 99 plans");
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_nontrivial() {
-        let mut a = 7;
-        let mut b = 7;
-        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
-        assert_ne!(splitmix64(&mut a), splitmix64(&mut b).wrapping_add(1));
     }
 }

@@ -26,16 +26,16 @@
 //! plan `i` is `plans(seed).nth(i)` (which builds the `i` traces before
 //! it) rather than a closed-form function of `i`.
 
-use pm_trace::{report_hash, BugReport, PmEvent, Trace};
+use pm_trace::{report_hash, splitmix64, BugReport, PmEvent, Trace};
 use pm_workloads::{
     concurrent_multithread_trace, CasHash, ConcurrentWorkload, MsQueue, TreiberStack,
 };
 use pmdebugger::{
-    detect_parallel_from, detect_supervised_from, DebuggerConfig, DetectSession, ParallelConfig,
-    PersistencyModel, SupervisorConfig,
+    detect_parallel_from, detect_supervised_from, DebuggerConfig, DetectSession, FailMode,
+    ParallelConfig, PersistencyModel, SupervisorConfig,
 };
 
-use crate::sweep::{batch_reports, splitmix64, Sweep, SweepViolation, Tallies};
+use crate::sweep::{batch_reports, Sweep, SweepViolation, Tallies};
 
 /// Worker-thread widths cycled across plans.
 const THREADS: [usize; 3] = [2, 4, 8];
@@ -165,10 +165,12 @@ impl Sweep for ThreadCrashSweep {
         ThreadCrashOutcome {
             sequential: batch_reports(&config, events),
             parallel: detect_parallel_from(&config, &par, events, 0).reports,
+            // Strict, so a genuine worker failure surfaces as an error
+            // instead of a quietly smaller report set.
             supervised: detect_supervised_from(
                 &config,
                 &par,
-                &SupervisorConfig::default(),
+                &SupervisorConfig::default().with_fail_mode(FailMode::Strict),
                 None,
                 events,
                 0,

@@ -26,13 +26,14 @@ use pm_trace::{
 };
 use pm_workloads::Workload;
 use pmdebugger::{
-    detect_supervised, DebuggerConfig, FailMode, FaultPlan, ParallelConfig, ParallelPmDebugger,
-    PersistencyModel, PmDebugger, SupervisorConfig, MAX_THREADS,
+    detect_supervised, DebuggerConfig, FailMode, FaultPlan, ParallelConfig, PersistencyModel,
+    PmDebugger, SupervisorConfig, MAX_THREADS,
 };
 
-/// Supervision flags shared by `run` and `replay`. Any present flag
-/// routes detection through the supervised pipeline
-/// ([`pmdebugger::detect_supervised`]) instead of the plain engines.
+/// Supervision flags shared by `run` and `replay`. They tune the
+/// supervised pipeline ([`pmdebugger::detect_supervised`]) that every
+/// `--threads` ≥ 2 run goes through, so they need `--tool pmdebugger` and
+/// `--threads` ≥ 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperviseArgs {
     /// `--max-retries <n>`: threaded re-attempts per failed shard.
@@ -47,16 +48,8 @@ pub struct SuperviseArgs {
 }
 
 impl SuperviseArgs {
-    /// Whether any supervision flag was given explicitly.
-    pub fn engaged(&self) -> bool {
-        self.max_retries.is_some()
-            || self.shard_deadline_ms.is_some()
-            || self.fail_mode.is_some()
-            || self.fault_seed.is_some()
-    }
-
     /// The [`SupervisorConfig`] these flags describe. Unset flags keep the
-    /// library defaults (one retry, sequential fallback, strict).
+    /// library defaults (one retry, sequential fallback, degrade).
     fn config(&self) -> SupervisorConfig {
         let mut sup = SupervisorConfig::default();
         if let Some(retries) = self.max_retries {
@@ -130,12 +123,11 @@ pub enum Command {
         /// Optional order-spec file path.
         order: Option<String>,
         /// Detection worker threads (1 = sequential engine; >1 runs the
-        /// sharded parallel pipeline, pmdebugger only).
+        /// supervised sharded pipeline, pmdebugger only).
         threads: usize,
         /// Write a [`RunManifest`] (JSON) to this path after the run.
         metrics: Option<String>,
-        /// Supervision flags; any present flag engages the supervised
-        /// pipeline (pmdebugger only).
+        /// Supervision flags for the sharded pipeline (`threads` > 1).
         supervise: SuperviseArgs,
     },
     /// `pmdbg corpus` — run the 78-case corpus through every tool (Table 6).
@@ -165,15 +157,14 @@ pub enum Command {
         /// Optional order-spec file.
         order: Option<String>,
         /// Detection worker threads (1 = sequential engine; >1 runs the
-        /// sharded parallel pipeline, pmdebugger only).
+        /// supervised sharded pipeline, pmdebugger only).
         threads: usize,
         /// Write a [`RunManifest`] (JSON) to this path after the replay.
         metrics: Option<String>,
         /// Skip corrupt frames and replay what survives (`--salvage`)
         /// instead of aborting on the first corruption (`--strict`).
         salvage: bool,
-        /// Supervision flags; any present flag engages the supervised
-        /// pipeline (pmdebugger only).
+        /// Supervision flags for the sharded pipeline (`threads` > 1).
         supervise: SuperviseArgs,
     },
     /// `pmdbg chaos --sweep <name> [--plans <n>] [--seed <n>]
@@ -376,6 +367,10 @@ USAGE:
   pmdbg help
 
 TOOLS:     pmdebugger (default), pmemcheck, pmtest, xfdetector, nulgrind
+THREADS:   --threads >= 2 runs pmdebugger's sharded pipeline under a
+           supervisor (1 retry, sequential fallback, --fail-mode degrade);
+           --max-retries, --shard-deadline-ms, --fail-mode and --fault-seed
+           tune it and need --threads >= 2
 WORKLOADS: b_tree c_tree r_tree rb_tree hashmap_tx hashmap_atomic
            synth_strand memcached redis a_YCSB..f_YCSB
            treiber_stack ms_queue cas_hash (concurrent)
@@ -399,8 +394,9 @@ SWEEPS:    name, CI --plans, default --seed, faults -> violation kinds (any
                 a prefix of the ascending sample)
   perturb       119  0xC4A05     one dropped/duplicated/reordered flush or
                 fence, torn store or moved epoch marker per plan, same
-                --workload default -> tallies only (at most 512 plans, in
-                trace order; --seed is ignored)
+                --workload default -> tallies only (at most 512 plans,
+                round-robin over the fault classes, in trace order within
+                each; --seed is ignored; `untested` counts the rest)
 EXIT CODES: 0 clean run, 1 bugs or sweep violations found, 2 bad usage or
             parse/ingest/recover failure, 3 internal error (incl.
             strict-mode shard or session failure), 4 degraded-but-clean
@@ -825,50 +821,17 @@ pub fn tool_by_name(
     }
 }
 
-/// Instantiates a detector, wrapping PMDebugger in the sharded parallel
-/// pipeline ([`ParallelPmDebugger`]) when `threads > 1`.
-///
-/// # Errors
-///
-/// Returns a message for unknown tools, or for `--threads > 1` with a
-/// baseline tool (only the pmdebugger engine shards).
-pub fn tool_with_threads(
-    name: &str,
-    model: PersistencyModel,
-    order: Option<&OrderSpec>,
-    threads: usize,
-) -> Result<Box<dyn Detector>, String> {
-    tool_with_metrics(name, model, order, threads, None).map(|(detector, _)| detector)
-}
-
-/// Like [`tool_with_threads`], additionally attaching `registry` to the
-/// pmdebugger engines. The second half of the result says whether the
-/// detector self-counts its `rule.*` firings at finish (the sequential
-/// engine does); otherwise the caller derives them from the final reports
-/// with [`manifest_digest`].
+/// Like [`tool_by_name`], additionally attaching `registry` to the
+/// sequential pmdebugger engine. The second half of the result says
+/// whether the detector self-counts its `rule.*` firings at finish (the
+/// sequential engine does); otherwise the caller derives them from the
+/// final reports with [`manifest_digest`].
 fn tool_with_metrics(
     name: &str,
     model: PersistencyModel,
     order: Option<&OrderSpec>,
-    threads: usize,
     registry: Option<&MetricsRegistry>,
 ) -> Result<(Box<dyn Detector>, bool), String> {
-    if threads > 1 {
-        if name != "pmdebugger" {
-            return Err(format!(
-                "--threads requires --tool pmdebugger (`{name}` has no parallel pipeline)"
-            ));
-        }
-        let mut config = DebuggerConfig::for_model(model);
-        if let Some(spec) = order {
-            config = config.with_order_spec(spec.clone());
-        }
-        let mut detector = ParallelPmDebugger::with_threads(config, threads);
-        if let Some(registry) = registry {
-            detector.attach_metrics(registry);
-        }
-        return Ok((Box::new(detector), false));
-    }
     if name == "pmdebugger" {
         if let Some(registry) = registry {
             let mut config = DebuggerConfig::for_model(model);
@@ -918,10 +881,15 @@ fn count_ingest(registry: &MetricsRegistry, ingest: &pm_trace::IngestReport) {
 }
 
 /// Counts a pre-recorded trace's events into `events.<kind>` counters, for
-/// commands that consume a [`Trace`] instead of a live runtime tap.
+/// commands that consume a [`Trace`] instead of a live runtime tap. Like
+/// the tap ([`PmRuntime::observe`]), it creates every kind's counter, so
+/// absent kinds read 0.
 fn count_trace_kinds(registry: &MetricsRegistry, trace: &Trace) {
-    for (kind, count) in trace.kind_counts() {
-        registry.counter(&format!("events.{kind}")).add(count);
+    let counts = trace.kind_counts();
+    for kind in pm_trace::PmEvent::KIND_NAMES {
+        registry
+            .counter(&format!("events.{kind}"))
+            .add(counts.get(kind).copied().unwrap_or(0));
     }
 }
 
@@ -1027,11 +995,9 @@ fn execute_replay_zero_copy(
     write!(out, "{summary}").map_err(wr)?;
     if let (Some(registry), Some(manifest_path)) = (&registry, metrics) {
         for (i, &count) in kind_counts.iter().enumerate() {
-            if count > 0 {
-                registry
-                    .counter(&format!("events.{}", pm_trace::PmEvent::KIND_NAMES[i]))
-                    .add(count);
-            }
+            registry
+                .counter(&format!("events.{}", pm_trace::PmEvent::KIND_NAMES[i]))
+                .add(count);
         }
         count_ingest(registry, &ingest);
         write_manifest(
@@ -1049,26 +1015,30 @@ fn execute_replay_zero_copy(
     Ok(Outcome::from_report_count(reports.len()))
 }
 
-/// Runs the supervised detection pipeline over a recorded trace and
-/// reports the outcome: timing header, a degradation block naming every
-/// quarantined shard (with its failure history and what may under-report),
-/// the bug summary, and — with `--metrics` — a manifest carrying the
+/// Runs `pmdebugger` with `--threads` ≥ 2: the supervised sharded
+/// pipeline over `trace`, recorded by `run` (workload `label`, `ops`
+/// operations) or ingested by `replay` (file `label`, with `ingest`).
+/// Prints the timing header (`header(ms)`), a degradation block naming
+/// every quarantined shard (with its failure history and what may
+/// under-report), the bug summary, and — with `--metrics` — a manifest
+/// carrying the `events.*`, `ingest.*`, `parallel.*`, `bookkeeping.*` and
 /// `supervisor.*` counters.
 ///
 /// Strict-mode shard exhaustion comes back as [`ExecError::Internal`]
 /// (exit code 3); a degraded-but-successful run sets
 /// [`Outcome::degraded`] (exit code 4 unless bugs dominate).
 #[allow(clippy::too_many_arguments)]
-fn execute_supervised(
+fn execute_threaded(
     trace: &Trace,
+    threads: usize,
     label: &str,
     ops: usize,
+    ingest: Option<&pm_trace::IngestReport>,
     model: PersistencyModel,
     spec: Option<&OrderSpec>,
-    threads: usize,
     args: &SuperviseArgs,
     metrics: Option<&String>,
-    stage: &str,
+    header: impl FnOnce(f64) -> String,
     out: &mut dyn fmt::Write,
 ) -> Result<Outcome, ExecError> {
     let mut config = DebuggerConfig::for_model(model);
@@ -1082,6 +1052,7 @@ fn execute_supervised(
     let registry = metrics.map(|_| MetricsRegistry::new());
 
     let start = Instant::now();
+    let stage = if ingest.is_some() { "replay" } else { "run" };
     let span = registry.as_ref().map(|r| r.span(&format!("stage.{stage}")));
     let result = detect_supervised(
         &config,
@@ -1094,13 +1065,7 @@ fn execute_supervised(
     let elapsed = start.elapsed();
     let result = result.map_err(|e| ExecError::Internal(format!("supervised detection: {e}")))?;
 
-    writeln!(
-        out,
-        "{label} under pmdebugger [threads={threads} supervised]: {} events in {:.1} ms",
-        trace.len(),
-        elapsed.as_secs_f64() * 1e3
-    )
-    .map_err(wr)?;
+    writeln!(out, "{}", header(elapsed.as_secs_f64() * 1e3)).map_err(wr)?;
     if let Some(degraded) = &result.degraded {
         writeln!(out, "degraded: {}", degraded.summary()).map_err(wr)?;
         for shard in &degraded.quarantined {
@@ -1133,6 +1098,9 @@ fn execute_supervised(
     write!(out, "{summary}").map_err(wr)?;
     if let (Some(registry), Some(path)) = (&registry, metrics) {
         count_trace_kinds(registry, trace);
+        if let Some(ingest) = ingest {
+            count_ingest(registry, ingest);
+        }
         result.export_metrics(registry);
         write_manifest(
             path,
@@ -1166,14 +1134,23 @@ pub fn request_serve_stop() {
     SERVE_STOP.store(true, Ordering::Relaxed);
 }
 
-/// Supervision flags only apply to the pmdebugger pipeline.
-fn require_supervised_tool(tool: &str) -> Result<(), ExecError> {
-    if tool == "pmdebugger" {
-        return Ok(());
+/// Only the pmdebugger engine shards, and the supervision flags tune the
+/// sharded pipeline alone: `--threads` ≥ 2 needs `--tool pmdebugger`, and
+/// supervision flags need both.
+fn check_threading(tool: &str, threads: usize, supervise: &SuperviseArgs) -> Result<(), ExecError> {
+    if threads > 1 && tool != "pmdebugger" {
+        return Err(ExecError::Input(format!(
+            "--threads requires --tool pmdebugger (`{tool}` has no parallel pipeline)"
+        )));
     }
-    Err(ExecError::Input(format!(
-        "supervision flags require --tool pmdebugger (`{tool}` has no supervised pipeline)"
-    )))
+    if *supervise != SuperviseArgs::default() && (threads < 2 || tool != "pmdebugger") {
+        return Err(ExecError::Input(
+            "supervision flags (--max-retries, --shard-deadline-ms, --fail-mode, \
+             --fault-seed) require --tool pmdebugger and --threads >= 2"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Reads and parses an `--order <file>` spec, when one was given.
@@ -1433,6 +1410,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             salvage,
             supervise,
         } => {
+            check_threading(&tool, threads, &supervise)?;
             let mapped = pm_trace::MappedTrace::open(std::path::Path::new(&path))
                 .map_err(|e| ExecError::Input(format!("cannot read {path}: {e}")))?;
             let bytes = mapped.bytes();
@@ -1445,7 +1423,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             let spec = read_order_spec(order)?;
             // The sequential pmdebugger engine runs straight off the mapped
             // v2 image: borrowed events, no owned `Trace`.
-            if tool == "pmdebugger" && threads == 1 && !supervise.engaged() {
+            if tool == "pmdebugger" && threads == 1 {
                 if let pm_trace::ZeroCopy::Binary(walker) =
                     pm_trace::zero_copy(bytes, mode, &IngestLimits::default())
                         .map_err(|e| ExecError::Input(format!("{path}: {e}")))?
@@ -1467,24 +1445,27 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             if salvage || !ingest.clean() {
                 writeln!(out, "{}", ingest.summary()).map_err(wr)?;
             }
-            if supervise.engaged() {
-                require_supervised_tool(&tool)?;
-                return execute_supervised(
+            if threads > 1 {
+                let events = trace.len();
+                return execute_threaded(
                     &trace,
+                    threads,
                     &path,
                     0,
+                    Some(&ingest),
                     model,
                     spec.as_ref(),
-                    threads,
                     &supervise,
                     metrics.as_ref(),
-                    "replay",
+                    |ms| {
+                        format!("replayed {events} events through {tool} [threads={threads}] in {ms:.1} ms")
+                    },
                     out,
                 );
             }
             let registry = metrics.as_ref().map(|_| MetricsRegistry::new());
             let (mut detector, rules_self_counted) =
-                tool_with_metrics(&tool, model, spec.as_ref(), threads, registry.as_ref())
+                tool_with_metrics(&tool, model, spec.as_ref(), registry.as_ref())
                     .map_err(ExecError::Input)?;
             let start = Instant::now();
             let span = registry.as_ref().map(|r| r.span("stage.replay"));
@@ -1493,13 +1474,8 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             let elapsed = start.elapsed();
             writeln!(
                 out,
-                "replayed {} events through {tool}{} in {:.1} ms",
+                "replayed {} events through {tool} in {:.1} ms",
                 trace.len(),
-                if threads > 1 {
-                    format!(" [threads={threads}]")
-                } else {
-                    String::new()
-                },
                 elapsed.as_secs_f64() * 1e3
             )
             .map_err(wr)?;
@@ -1531,30 +1507,35 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             metrics,
             supervise,
         } => {
+            check_threading(&tool, threads, &supervise)?;
             let workload = workload_by_name(&workload).ok_or_else(|| {
                 ExecError::Input(format!("unknown workload `{workload}` (try `pmdbg list`)"))
             })?;
             let spec = read_order_spec(order)?;
             let model = persistency(workload.model());
-            if supervise.engaged() {
-                require_supervised_tool(&tool)?;
+            if threads > 1 {
                 let trace = pm_workloads::record_trace(workload.as_ref(), ops);
-                return execute_supervised(
+                let name = workload.name();
+                let events = trace.len();
+                return execute_threaded(
                     &trace,
-                    workload.name(),
+                    threads,
+                    name,
                     ops,
+                    None,
                     model,
                     spec.as_ref(),
-                    threads,
                     &supervise,
                     metrics.as_ref(),
-                    "run",
+                    |ms| {
+                        format!("{name} x{ops} under {tool} [threads={threads}]: {events} events in {ms:.1} ms")
+                    },
                     out,
                 );
             }
             let registry = metrics.as_ref().map(|_| MetricsRegistry::new());
             let (detector, rules_self_counted) =
-                tool_with_metrics(&tool, model, spec.as_ref(), threads, registry.as_ref())
+                tool_with_metrics(&tool, model, spec.as_ref(), registry.as_ref())
                     .map_err(ExecError::Input)?;
 
             let mut rt = PmRuntime::trace_only();
@@ -1573,15 +1554,10 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
 
             writeln!(
                 out,
-                "{} x{} under {}{}: {} events in {:.1} ms",
+                "{} x{} under {}: {} events in {:.1} ms",
                 workload.name(),
                 ops,
                 tool,
-                if threads > 1 {
-                    format!(" [threads={threads}]")
-                } else {
-                    String::new()
-                },
                 rt.event_count(),
                 elapsed.as_secs_f64() * 1e3
             )
@@ -2529,6 +2505,7 @@ mod tests {
             par.counters["parallel.routed_events"] + par.counters["parallel.broadcast_events"],
             par.events_total
         );
+        assert_eq!(par.bookkeeping["events_processed"], par.events_total);
     }
 
     #[test]
@@ -2994,16 +2971,22 @@ mod tests {
                 &mut out,
             )
             .unwrap();
-            // Everything after the timing line: the bug summary.
-            (outcome, out.lines().skip(1).collect::<Vec<_>>().join("\n"))
+            // Everything but the header's wall-clock figure.
+            let (header, rest) = out.split_once('\n').unwrap();
+            let (header, _ms) = header.rsplit_once(" in ").unwrap();
+            (outcome, format!("{header}\n{rest}"))
         };
         let (plain_outcome, plain) = run(SuperviseArgs::default());
         let (sup_outcome, supervised) = run(SuperviseArgs {
             max_retries: Some(1),
             ..SuperviseArgs::default()
         });
-        assert_eq!(plain, supervised, "verdicts must not change");
-        assert_eq!(plain_outcome.bugs_found, sup_outcome.bugs_found);
+        assert!(
+            plain.starts_with("hashmap_atomic x64 under pmdebugger [threads=4]: "),
+            "{plain}"
+        );
+        assert_eq!(plain, supervised, "one threaded path, one output");
+        assert_eq!(plain_outcome, sup_outcome);
         assert!(!sup_outcome.degraded);
     }
 
@@ -3081,16 +3064,41 @@ mod tests {
 
     #[test]
     fn supervision_flags_with_baseline_tool_are_a_clean_error() {
+        // The flags tune the sharded pipeline, which only pmdebugger at
+        // two or more threads runs: anything else is bad usage (exit 2).
+        for (tool, threads) in [("pmemcheck", 1), ("pmemcheck", 4), ("pmdebugger", 1)] {
+            let err = execute_outcome(
+                Command::Run {
+                    workload: "b_tree".into(),
+                    ops: 8,
+                    tool: tool.into(),
+                    order: None,
+                    threads,
+                    metrics: None,
+                    supervise: SuperviseArgs {
+                        max_retries: Some(1),
+                        ..SuperviseArgs::default()
+                    },
+                },
+                &mut String::new(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ExecError::Input(ref m) if m.contains("pmdebugger")),
+                "{tool} --threads {threads}: {err:?}"
+            );
+        }
         let err = execute_outcome(
-            Command::Run {
-                workload: "b_tree".into(),
-                ops: 8,
-                tool: "pmemcheck".into(),
+            Command::Replay {
+                trace: "/nonexistent/t.pmt2".into(),
+                tool: "pmdebugger".into(),
+                model: "strict".into(),
                 order: None,
                 threads: 1,
                 metrics: None,
+                salvage: false,
                 supervise: SuperviseArgs {
-                    max_retries: Some(1),
+                    fail_mode: Some(FailMode::Strict),
                     ..SuperviseArgs::default()
                 },
             },
@@ -3098,14 +3106,16 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, ExecError::Input(ref m) if m.contains("pmdebugger")),
+            matches!(err, ExecError::Input(ref m) if m.contains("--threads >= 2")),
             "{err:?}"
         );
     }
 
     #[test]
     fn supervised_replay_works_from_a_recorded_trace() {
-        let path = std::env::temp_dir().join("pmdbg_cli_supervised_replay.trace");
+        let dir = std::env::temp_dir();
+        let path = dir.join("pmdbg_cli_supervised_replay.trace");
+        let manifest_path = dir.join("pmdbg_cli_supervised_replay.json");
         let path_str = path.to_str().unwrap().to_owned();
         execute(
             Command::Record {
@@ -3117,27 +3127,62 @@ mod tests {
             &mut String::new(),
         )
         .unwrap();
-        let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::Replay {
-                trace: path_str,
-                tool: "pmdebugger".into(),
-                model: "epoch".into(),
-                order: None,
-                threads: 2,
-                metrics: None,
-                salvage: false,
-                supervise: SuperviseArgs {
-                    max_retries: Some(1),
-                    ..SuperviseArgs::default()
+        let replay = |supervise: SuperviseArgs| {
+            let mut out = String::new();
+            let outcome = execute_outcome(
+                Command::Replay {
+                    trace: path_str.clone(),
+                    tool: "pmdebugger".into(),
+                    model: "epoch".into(),
+                    order: None,
+                    threads: 2,
+                    metrics: Some(manifest_path.to_str().unwrap().to_owned()),
+                    salvage: false,
+                    supervise,
                 },
-            },
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("supervised"), "{out}");
-        assert!(!outcome.degraded);
+                &mut out,
+            )
+            .unwrap();
+            assert!(!outcome.degraded);
+            let text = std::fs::read_to_string(&manifest_path).unwrap();
+            (out, RunManifest::from_json(&text).unwrap())
+        };
+        let (out, flagged) = replay(SuperviseArgs {
+            max_retries: Some(1),
+            ..SuperviseArgs::default()
+        });
+        let (_, flagless) = replay(SuperviseArgs::default());
+        assert!(out.starts_with("replayed "), "{out}");
+        assert!(
+            out.contains(" events through pmdebugger [threads=2] in "),
+            "{out}"
+        );
+        for manifest in [&flagged, &flagless] {
+            // Ingest accounting, routing and supervision all reach the
+            // manifest, the supervision counters at 0 on a healthy run.
+            assert_eq!(manifest.counters["ingest.frames_ok"], manifest.events_total);
+            assert_eq!(manifest.counters["ingest.frames_skipped"], 0);
+            assert_eq!(
+                manifest.counters["parallel.routed_events"]
+                    + manifest.counters["parallel.broadcast_events"],
+                manifest.events_total
+            );
+            for name in ["retries", "quarantined", "lost_events", "degraded"] {
+                assert_eq!(
+                    manifest.counters[&format!("supervisor.{name}")],
+                    0,
+                    "{name}"
+                );
+            }
+            assert!(
+                manifest.stages.contains_key("replay"),
+                "{:?}",
+                manifest.stages
+            );
+        }
+        assert_eq!(flagged.bugs, flagless.bugs);
         std::fs::remove_file(path).ok();
+        std::fs::remove_file(manifest_path).ok();
     }
 
     #[test]

@@ -71,16 +71,15 @@ pub use govern::{
 pub use interval::{IntervalList, IntervalMeta, IntervalState};
 pub use order::{CrossThreadTracker, OrderTracker};
 pub use parallel::{
-    detect_parallel, detect_parallel_from, ParallelConfig, ParallelOutcome, ParallelPmDebugger,
-    MAX_THREADS,
+    detect_parallel, detect_parallel_from, ParallelConfig, ParallelOutcome, MAX_THREADS,
 };
 pub use rules::{CasContentionRule, EpochSizeRule, FailureWindowRule, FlushAmplificationRule};
 pub use session::{DetectSession, SessionCheckpoint};
 pub use space::{BookkeepingSpace, FenceOutcome, FlushOutcome, Residual, SpaceStats, StoreOutcome};
 pub use stats::DebuggerStats;
 pub use supervisor::{
-    detect_supervised, detect_supervised_from, expected_surviving_reports, AttemptFailure,
-    DegradedReport, FailMode, FaultKind, FaultPlan, InjectedFault, QuarantinedShard, ShardFailure,
-    SupervisedOutcome, SupervisorConfig, SupervisorError, BENIGN_ALLOC_BYTES, FATAL_ALLOC_BYTES,
-    FATAL_DELAY,
+    detect_supervised, detect_supervised_from, expected_surviving_reports, panic_message,
+    AttemptFailure, DegradedReport, FailMode, FaultKind, FaultPlan, InjectedFault,
+    QuarantinedShard, ShardFailure, SupervisedOutcome, SupervisorConfig, SupervisorError,
+    BENIGN_ALLOC_BYTES, FATAL_ALLOC_BYTES, FATAL_DELAY,
 };

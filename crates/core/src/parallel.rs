@@ -37,7 +37,7 @@
 
 use std::thread;
 
-use pm_obs::{MetricsRegistry, MetricsSnapshot};
+use pm_obs::MetricsSnapshot;
 use pm_trace::{
     BugKind, BugReport, Detector, KeyedChunk, PlanBuilder, PmEvent, ShardPlan, Trace, KEY_BROADCAST,
 };
@@ -45,9 +45,7 @@ use pm_trace::{
 use crate::config::DebuggerConfig;
 use crate::debugger::PmDebugger;
 use crate::stats::DebuggerStats;
-use crate::supervisor::{
-    detect_supervised_from, DegradedReport, FaultPlan, ShardFailure, ShardGuard, SupervisorConfig,
-};
+use crate::supervisor::{detect_supervised_from, ShardFailure, ShardGuard, SupervisorConfig};
 
 /// Hard ceiling on worker threads (a runaway `--threads` guard).
 pub const MAX_THREADS: usize = 64;
@@ -204,7 +202,7 @@ fn detect_inline(config: &DebuggerConfig, events: &[PmEvent], base_seq: u64) -> 
 
 /// One worker's pass behind a [`ShardGuard`]: scan the shared key array,
 /// detect over own and broadcast events, firing injected faults and
-/// checking the deadline and event/memory budgets as it goes. With no
+/// checking the deadline and memory budget as it goes. With no
 /// fault or limit configured the per-event overhead is one increment and
 /// a few always-false branches.
 pub(crate) fn run_worker_guarded(
@@ -345,12 +343,11 @@ pub(crate) fn build_plan_parallel(
 /// first event would carry on a live runtime — reports then locate events
 /// exactly as a directly-attached sequential debugger would).
 ///
-/// Multi-threaded runs go through the supervisor with the
-/// [`SupervisorConfig::lenient`] policy: a genuinely poisoned worker is
-/// retried and, at worst, quarantined — it degrades the verdict set
-/// instead of aborting the process. Callers that need to *observe*
-/// degradation (or configure budgets and fail modes) use
-/// [`crate::detect_supervised`] directly.
+/// Multi-threaded runs go through the supervisor with the default
+/// [`SupervisorConfig`]: a genuinely poisoned worker is retried and, at
+/// worst, quarantined — it degrades the verdict set instead of aborting
+/// the process. Callers that need to *observe* degradation (or configure
+/// budgets and fail modes) use [`crate::detect_supervised`] directly.
 pub fn detect_parallel_from(
     config: &DebuggerConfig,
     par: &ParallelConfig,
@@ -365,13 +362,13 @@ pub fn detect_parallel_from(
     match detect_supervised_from(
         config,
         par,
-        &SupervisorConfig::lenient(),
+        &SupervisorConfig::default(),
         None,
         events,
         base_seq,
     ) {
         Ok(result) => result.outcome,
-        // Only a plan-build panic lands here (lenient mode never returns a
+        // Only a plan-build panic lands here (degrade mode never returns a
         // shard error); the engine is deterministic, so fall back to the
         // sequential path rather than guessing at a plan.
         Err(_) => detect_inline(config, events, base_seq),
@@ -400,178 +397,11 @@ pub fn detect_parallel(
     detect_parallel_from(config, par, trace.events(), 0)
 }
 
-/// [`Detector`]-shaped front end for the parallel pipeline, so it can be
-/// attached to a [`pm_trace::PmRuntime`] like any sequential tool.
-///
-/// Events are buffered as they arrive (detection needs the full stream to
-/// plan the shard assignment); `finish` runs the pipeline and returns the
-/// merged reports. Custom rules are not supported on this path — they see
-/// per-worker sub-streams, not the merged state, so [`PmDebugger`] remains
-/// the engine for rule development.
-pub struct ParallelPmDebugger {
-    config: DebuggerConfig,
-    par: ParallelConfig,
-    sup: SupervisorConfig,
-    fault: Option<FaultPlan>,
-    buffer: Vec<PmEvent>,
-    base_seq: u64,
-    outcome: Option<ParallelOutcome>,
-    degraded: Option<DegradedReport>,
-    retries: u64,
-    registry: Option<MetricsRegistry>,
-}
-
-impl std::fmt::Debug for ParallelPmDebugger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelPmDebugger")
-            .field("threads", &self.par.threads)
-            .field("buffered", &self.buffer.len())
-            .field("finished", &self.outcome.is_some())
-            .finish()
-    }
-}
-
-impl ParallelPmDebugger {
-    /// Creates a pipeline front end with explicit tuning. Detection runs
-    /// under [`SupervisorConfig::lenient`] unless
-    /// [`ParallelPmDebugger::with_supervisor`] overrides it.
-    pub fn new(config: DebuggerConfig, par: ParallelConfig) -> Self {
-        ParallelPmDebugger {
-            config,
-            par,
-            sup: SupervisorConfig::lenient(),
-            fault: None,
-            buffer: Vec::new(),
-            base_seq: 0,
-            outcome: None,
-            degraded: None,
-            retries: 0,
-            registry: None,
-        }
-    }
-
-    /// Overrides the supervision policy (budgets, deadlines, retries).
-    ///
-    /// The [`Detector`] trait has no error channel, so the fail mode is
-    /// coerced to [`crate::FailMode::Degrade`] on this path; callers that
-    /// need strict typed failures use [`crate::detect_supervised`].
-    pub fn with_supervisor(mut self, sup: SupervisorConfig) -> Self {
-        self.sup = sup;
-        self.sup.fail_mode = crate::supervisor::FailMode::Degrade;
-        self
-    }
-
-    /// Compiles an injected fault schedule into the worker loop (testing
-    /// and chaos sweeps only).
-    pub fn with_fault_plan(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Attaches a metrics registry. After `finish`, the pipeline exports
-    /// its routing counters (`parallel.routed_events`,
-    /// `parallel.broadcast_events`, `parallel.components`), the thread
-    /// count as the `parallel.threads` gauge, and the merged bookkeeping
-    /// statistics (`bookkeeping.*`).
-    ///
-    /// The per-worker `events.<kind>` snapshots are deliberately *not*
-    /// absorbed here: the runtime's event tap ([`pm_trace::PmRuntime::observe`])
-    /// owns those names, and absorbing both would double-count. They stay
-    /// available through [`ParallelPmDebugger::last_outcome`].
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) -> &mut Self {
-        self.registry = Some(registry.clone());
-        self
-    }
-
-    /// Creates a pipeline front end with default tuning and `threads`
-    /// workers.
-    pub fn with_threads(config: DebuggerConfig, threads: usize) -> Self {
-        Self::new(config, ParallelConfig::with_threads(threads))
-    }
-
-    /// The outcome of the last `finish`, including merged stats and the
-    /// malformed-event counter.
-    pub fn last_outcome(&self) -> Option<&ParallelOutcome> {
-        self.outcome.as_ref()
-    }
-
-    /// The degradation report of the last `finish`, if any shard was
-    /// quarantined.
-    pub fn last_degraded(&self) -> Option<&DegradedReport> {
-        self.degraded.as_ref()
-    }
-
-    /// Shard re-attempts performed by the last `finish`.
-    pub fn last_retries(&self) -> u64 {
-        self.retries
-    }
-}
-
-impl Detector for ParallelPmDebugger {
-    fn name(&self) -> &str {
-        "pmdebugger-parallel"
-    }
-
-    fn on_event(&mut self, seq: u64, event: &PmEvent) {
-        if self.buffer.is_empty() {
-            self.base_seq = seq;
-        }
-        self.buffer.push(event.clone());
-    }
-
-    fn finish(&mut self) -> Vec<BugReport> {
-        let events = std::mem::take(&mut self.buffer);
-        let result = detect_supervised_from(
-            &self.config,
-            &self.par,
-            &self.sup,
-            self.fault.as_ref(),
-            &events,
-            self.base_seq,
-        );
-        let (outcome, degraded, retries) = match result {
-            Ok(supervised) => {
-                if let Some(registry) = &self.registry {
-                    supervised.export_metrics(registry);
-                }
-                (supervised.outcome, supervised.degraded, supervised.retries)
-            }
-            // Degrade mode only fails if the plan build itself panicked;
-            // the sequential path needs no plan, so fall back to it.
-            Err(_) => {
-                let outcome = detect_inline(&self.config, &events, self.base_seq);
-                if let Some(registry) = &self.registry {
-                    registry
-                        .counter("parallel.routed_events")
-                        .add(outcome.routed_events);
-                    registry
-                        .counter("parallel.broadcast_events")
-                        .add(outcome.broadcast_events);
-                    registry
-                        .gauge("parallel.threads")
-                        .set(outcome.threads as i64);
-                    outcome.stats.export(registry);
-                }
-                (outcome, None, 0)
-            }
-        };
-        let reports = outcome.reports.clone();
-        self.outcome = Some(outcome);
-        self.degraded = degraded;
-        self.retries = retries;
-        reports
-    }
-
-    fn malformed_events(&self) -> u64 {
-        self.outcome.as_ref().map_or(0, |o| o.malformed_events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PersistencyModel;
-    use pm_trace::{FenceKind, FlushKind, PmRuntime, StrandId, ThreadId};
+    use pm_trace::{FenceKind, FlushKind, StrandId, ThreadId};
 
     fn store(addr: u64, size: u32, tid: u32, in_epoch: bool) -> PmEvent {
         PmEvent::Store {
@@ -746,36 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn detector_front_end_matches_attached_sequential_run() {
-        // Same workload driven twice through a pool-backed runtime (where
-        // RegisterPmem precedes attachment, so sequence numbers start at 1).
-        let drive = |det: Box<dyn Detector>| -> (Vec<BugReport>, u64) {
-            let mut rt = PmRuntime::with_pool(1 << 16)
-                .expect("64 KiB pool allocation must succeed in tests");
-            rt.attach(det);
-            for i in 0..32u64 {
-                rt.store(i * 128, &[7; 16])
-                    .expect("store lies inside the 64 KiB pool");
-                if i % 2 == 0 {
-                    rt.clwb(i * 128).expect("clwb targets a mapped line");
-                }
-                if i % 4 == 0 {
-                    rt.sfence();
-                }
-            }
-            let summary = rt.finish_summary();
-            (summary.reports, summary.malformed_events)
-        };
-        let (seq_reports, seq_malformed) = drive(Box::new(PmDebugger::strict()));
-        let (par_reports, par_malformed) = drive(Box::new(ParallelPmDebugger::with_threads(
-            DebuggerConfig::for_model(PersistencyModel::Strict),
-            4,
-        )));
-        assert_eq!(par_reports, seq_reports);
-        assert_eq!(par_malformed, seq_malformed);
-    }
-
-    #[test]
     fn outcome_counts_routing() {
         let trace = messy_trace();
         let config = DebuggerConfig::for_model(PersistencyModel::Strict);
@@ -805,33 +605,6 @@ mod tests {
             let total: u64 = par.metrics.counters.values().sum();
             assert_eq!(total, trace.len() as u64);
         }
-    }
-
-    #[test]
-    fn front_end_exports_parallel_counters() {
-        let registry = pm_obs::MetricsRegistry::new();
-        let trace = messy_trace();
-        let mut det = ParallelPmDebugger::with_threads(
-            DebuggerConfig::for_model(PersistencyModel::Strict),
-            4,
-        );
-        det.attach_metrics(&registry);
-        for (seq, event) in trace.events().iter().enumerate() {
-            det.on_event(seq as u64, event);
-        }
-        let _ = det.finish();
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("parallel.routed_events") + snap.counter("parallel.broadcast_events"),
-            trace.len() as u64
-        );
-        assert_eq!(snap.gauges["parallel.threads"], 4);
-        assert_eq!(
-            snap.counter("bookkeeping.events_processed"),
-            trace.len() as u64
-        );
-        // The runtime tap owns `events.*`; the front end must not write it.
-        assert!(snap.counters.keys().all(|k| !k.starts_with("events.")));
     }
 
     #[test]

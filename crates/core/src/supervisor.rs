@@ -4,9 +4,9 @@
 //! completion; a single panicking, hanging or memory-hungry shard used to
 //! take the whole campaign with it. This module wraps each worker in a
 //! [`std::panic::catch_unwind`] boundary plus a `ShardGuard` that enforces
-//! a per-shard deadline and event/memory budgets, retries failed shards up
-//! to a configurable number of times (with linear backoff, then optionally
-//! one last isolated sequential rerun), and merges whatever survives:
+//! a per-shard deadline and memory budget, retries failed shards up to a
+//! configurable number of times (then optionally one last isolated
+//! sequential rerun), and merges whatever survives:
 //!
 //! * In [`FailMode::Strict`], the first shard that exhausts its attempts
 //!   surfaces as a typed [`SupervisorError`] — never a panic, never an
@@ -37,7 +37,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{BugKind, BugReport, PmEvent, ShardPlan, Trace};
+use pm_trace::{splitmix64, BugKind, BugReport, PmEvent, ShardPlan, Trace};
 
 use crate::config::DebuggerConfig;
 use crate::debugger::PmDebugger;
@@ -82,7 +82,10 @@ pub enum FailMode {
     Degrade,
 }
 
-/// Supervision policy for one detection run.
+/// Supervision policy for one detection run. The default is one retry, a
+/// sequential fallback, no deadline or memory budget, and
+/// [`FailMode::Degrade`]: a genuine worker panic costs its shard's
+/// verdicts, never the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Threaded re-attempts after the first failure (attempt 0 is free).
@@ -90,14 +93,9 @@ pub struct SupervisorConfig {
     /// Wall-clock ceiling per shard attempt (injected delays count
     /// against it virtually). `None` disables the deadline.
     pub shard_deadline: Option<Duration>,
-    /// Events one shard attempt may consume. `None` disables the budget.
-    pub max_shard_events: Option<u64>,
     /// Approximate resident bytes one shard attempt may hold (injected
     /// alloc pressure plus a bookkeeping estimate). `None` disables it.
     pub max_shard_bytes: Option<u64>,
-    /// Sleep before retry `n` is `retry_backoff * n` (linear backoff);
-    /// zero disables sleeping.
-    pub retry_backoff: Duration,
     /// After threaded retries are exhausted, rerun the shard once more in
     /// isolation (one worker at a time) before giving up on it.
     pub sequential_fallback: bool,
@@ -110,27 +108,14 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_retries: 1,
             shard_deadline: None,
-            max_shard_events: None,
             max_shard_bytes: None,
-            retry_backoff: Duration::ZERO,
             sequential_fallback: true,
-            fail_mode: FailMode::Strict,
+            fail_mode: FailMode::Degrade,
         }
     }
 }
 
 impl SupervisorConfig {
-    /// The policy [`crate::detect_parallel`] runs under when nobody asks
-    /// for supervision explicitly: degrade instead of erroring, with a
-    /// sequential fallback — a genuine worker panic costs its shard's
-    /// verdicts, never the process.
-    pub fn lenient() -> Self {
-        SupervisorConfig {
-            fail_mode: FailMode::Degrade,
-            ..SupervisorConfig::default()
-        }
-    }
-
     /// Sets the number of threaded retries.
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
@@ -143,21 +128,9 @@ impl SupervisorConfig {
         self
     }
 
-    /// Sets the per-shard event budget.
-    pub fn with_max_shard_events(mut self, events: u64) -> Self {
-        self.max_shard_events = Some(events);
-        self
-    }
-
     /// Sets the per-shard memory budget.
     pub fn with_max_shard_bytes(mut self, bytes: u64) -> Self {
         self.max_shard_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the linear backoff unit slept between attempts.
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
         self
     }
 
@@ -181,14 +154,6 @@ impl SupervisorConfig {
             .saturating_add(1)
             .saturating_add(u32::from(self.sequential_fallback))
     }
-}
-
-/// The linear retry delay `base * attempt`, saturating: `Duration * u32`
-/// panics on overflow, and retry/backoff products near the extremes
-/// (`max_retries` close to `u32::MAX`, multi-year backoffs) must degrade
-/// to a capped sleep, never abort the supervisor.
-fn linear_backoff(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(attempt)
 }
 
 /// One injected detector fault.
@@ -241,14 +206,6 @@ pub struct InjectedFault {
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<InjectedFault>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -347,13 +304,6 @@ pub enum ShardFailure {
         /// The configured deadline.
         deadline_ms: u64,
     },
-    /// The shard consumed more events than its budget allows.
-    EventBudgetExceeded {
-        /// Events consumed when the guard tripped.
-        consumed: u64,
-        /// The configured budget.
-        budget: u64,
-    },
     /// The shard's (approximate) resident bytes exceeded the budget.
     MemoryBudgetExceeded {
         /// Injected plus estimated bookkeeping bytes when the guard
@@ -372,9 +322,6 @@ impl std::fmt::Display for ShardFailure {
                 waited_ms,
                 deadline_ms,
             } => write!(f, "deadline exceeded ({waited_ms} ms > {deadline_ms} ms)"),
-            ShardFailure::EventBudgetExceeded { consumed, budget } => {
-                write!(f, "event budget exceeded ({consumed} > {budget})")
-            }
             ShardFailure::MemoryBudgetExceeded {
                 resident_bytes,
                 budget,
@@ -545,13 +492,12 @@ impl std::fmt::Display for SupervisorError {
 impl std::error::Error for SupervisorError {}
 
 /// Per-attempt shard guard: fires the scheduled fault and enforces the
-/// deadline and the event/memory budgets while the worker scans.
+/// deadline and the memory budget while the worker scans.
 #[derive(Debug)]
 pub(crate) struct ShardGuard {
     fault: Option<InjectedFault>,
     fired: bool,
     deadline: Option<Duration>,
-    max_events: Option<u64>,
     max_bytes: Option<u64>,
     start: Instant,
     virtual_delay: Duration,
@@ -565,7 +511,6 @@ impl ShardGuard {
             fired: fault.is_none(),
             fault,
             deadline: config.shard_deadline,
-            max_events: config.max_shard_events,
             max_bytes: config.max_shard_bytes,
             start: Instant::now(),
             virtual_delay: Duration::ZERO,
@@ -585,14 +530,6 @@ impl ShardGuard {
                 if self.consumed > fault.after_events {
                     self.fire(fault, det)?;
                 }
-            }
-        }
-        if let Some(budget) = self.max_events {
-            if self.consumed > budget {
-                return Err(ShardFailure::EventBudgetExceeded {
-                    consumed: self.consumed,
-                    budget,
-                });
             }
         }
         if self.consumed & 63 == 0 {
@@ -675,7 +612,9 @@ impl ShardGuard {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic's payload (`panic!` with a literal or a
+/// formatted message), or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -738,7 +677,7 @@ fn run_attempt(
                     })) {
                         Ok(result) => result,
                         Err(payload) => Err(ShardFailure::Panic {
-                            message: panic_message(payload),
+                            message: panic_message(&*payload),
                         }),
                     }
                 });
@@ -753,7 +692,7 @@ fn run_attempt(
                         // Unreachable for unwinding panics (they are caught
                         // inside the thread); kept as defense in depth.
                         Err(payload) => Err(ShardFailure::Panic {
-                            message: panic_message(payload),
+                            message: panic_message(&*payload),
                         }),
                     },
                     Err(err) => Err(ShardFailure::Panic {
@@ -803,7 +742,7 @@ pub fn detect_supervised_from(
         build_plan_parallel(events, threads, pin_named)
     }))
     .map_err(|payload| SupervisorError::PlanPanicked {
-        message: panic_message(payload),
+        message: panic_message(&*payload),
     })?;
 
     let mut outs: Vec<Option<WorkerOut>> = std::iter::repeat_with(|| None).take(threads).collect();
@@ -817,9 +756,6 @@ pub fn detect_supervised_from(
         }
         if attempt > 0 {
             retries += pending.len() as u64;
-            if !sup.retry_backoff.is_zero() {
-                thread::sleep(linear_backoff(sup.retry_backoff, attempt));
-            }
         }
         let results = run_attempt(
             config, &plan, events, base_seq, &pending, attempt, sup, faults,
@@ -844,9 +780,6 @@ pub fn detect_supervised_from(
     if sup.sequential_fallback && !pending.is_empty() {
         let attempt = sup.max_retries.saturating_add(1);
         retries += pending.len() as u64;
-        if !sup.retry_backoff.is_zero() {
-            thread::sleep(linear_backoff(sup.retry_backoff, attempt));
-        }
         let mut still_failed = Vec::new();
         for &w in &pending {
             let results = run_attempt(config, &plan, events, base_seq, &[w], attempt, sup, faults);
@@ -1032,20 +965,7 @@ mod tests {
 
     #[test]
     fn retry_arithmetic_saturates_at_the_extremes() {
-        // `Duration * u32` aborts on overflow; the backoff product near
-        // `u64::MAX` nanoseconds must cap instead.
-        assert_eq!(
-            linear_backoff(Duration::from_millis(10), 3),
-            Duration::from_millis(30)
-        );
-        assert_eq!(
-            linear_backoff(Duration::from_secs(u64::MAX / 2), u32::MAX),
-            Duration::MAX
-        );
-        assert_eq!(linear_backoff(Duration::MAX, 2), Duration::MAX);
-        assert_eq!(linear_backoff(Duration::MAX, 0), Duration::ZERO);
-
-        // The attempt budget itself must not wrap either.
+        // The attempt budget must not wrap.
         let sup = SupervisorConfig::default()
             .with_max_retries(u32::MAX)
             .with_sequential_fallback(true);
@@ -1152,7 +1072,8 @@ mod tests {
         let trace = messy_trace();
         let sup = SupervisorConfig::default()
             .with_max_retries(0)
-            .with_sequential_fallback(false);
+            .with_sequential_fallback(false)
+            .with_fail_mode(FailMode::Strict);
         let faults = FaultPlan::new(vec![InjectedFault {
             worker: 0,
             attempt: 0,
@@ -1240,34 +1161,6 @@ mod tests {
             degraded.quarantined[0].failures[0].failure,
             ShardFailure::MemoryBudgetExceeded { .. }
         ));
-    }
-
-    #[test]
-    fn event_budget_trips_exactly() {
-        let trace = messy_trace();
-        let sup = SupervisorConfig::default()
-            .with_max_retries(0)
-            .with_sequential_fallback(false)
-            .with_max_shard_events(10)
-            .with_fail_mode(FailMode::Degrade);
-        let result = detect_supervised(
-            &config(),
-            &ParallelConfig::with_threads(2),
-            &sup,
-            None,
-            &trace,
-        )
-        .expect("degrade mode must complete");
-        let degraded = result.degraded.expect("tiny budget must quarantine");
-        for q in &degraded.quarantined {
-            assert!(matches!(
-                q.failures[0].failure,
-                ShardFailure::EventBudgetExceeded {
-                    consumed: 11,
-                    budget: 10
-                }
-            ));
-        }
     }
 
     #[test]

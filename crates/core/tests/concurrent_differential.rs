@@ -16,7 +16,7 @@ use pm_workloads::{
     TreiberStack, HANDOFF_NODE,
 };
 use pmdebugger::{
-    detect_parallel, detect_supervised, DebuggerConfig, DetectSession, ParallelConfig,
+    detect_parallel, detect_supervised, DebuggerConfig, DetectSession, FailMode, ParallelConfig,
     PersistencyModel, PmDebugger, SupervisorConfig,
 };
 
@@ -59,7 +59,8 @@ fn engines_agree(trace: &Trace, threads: usize) -> Vec<BugReport> {
     assert_eq!(parallel, baseline, "parallel diverged at {threads} threads");
     assert_eq!(report_hash(&parallel), base_hash);
 
-    let supervised = detect_supervised(&cfg, &par_cfg, &SupervisorConfig::default(), None, trace)
+    let strict = SupervisorConfig::default().with_fail_mode(FailMode::Strict);
+    let supervised = detect_supervised(&cfg, &par_cfg, &strict, None, trace)
         .expect("fault-free supervision cannot fail")
         .outcome
         .reports;

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 use pm_obs::MetricsRegistry;
 use pm_trace::{IngestError, PmEvent, ReportDigest, StreamDecoder};
 use pmdebugger::{
-    DebuggerConfig, DetectSession, FailMode, MemGovernor, MemPressure, SessionCheckpoint,
-    SessionGrant,
+    panic_message, DebuggerConfig, DetectSession, FailMode, MemGovernor, MemPressure,
+    SessionCheckpoint, SessionGrant,
 };
 
 use crate::config::{FaultPoint, ServeConfig};
@@ -344,7 +344,7 @@ impl<'a> DetectPump<'a> {
                     if self.attempts > self.cfg.max_retries {
                         self.failure = Some(SessionError::Faulted {
                             attempts: self.attempts,
-                            message: panic_message(payload),
+                            message: panic_message(&*payload),
                         });
                         self.pending.clear();
                         return;
@@ -401,16 +401,6 @@ fn retry_jitter(session_id: u64, attempt: u32, base: Duration) -> Duration {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     Duration::from_nanos(z % base_ns)
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// What the head bytes of a connection turned out to be.

@@ -78,7 +78,7 @@ pub use ingest::{
 pub use orderspec::{OrderRule, OrderSpec, ParseOrderSpecError};
 pub use recorder::{
     interleave_round_robin, interleave_seeded, replay, replay_events, replay_finish,
-    replay_finish_events, Trace, TraceStats,
+    replay_finish_events, splitmix64, Trace, TraceStats,
 };
 pub use runtime::{PmRuntime, RunSummary, RuntimeError};
 pub use shard::{

@@ -242,9 +242,10 @@ pub fn interleave_seeded(per_thread: Vec<Trace>, seed: u64, max_quantum: usize) 
     merged
 }
 
-/// splitmix64 step — the same tiny deterministic generator the chaos
-/// harness seeds its plans with.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One splitmix64 step: advances `state` and returns the next output.
+/// The workspace's one deterministic generator — seeded interleavings
+/// here, fault plans in the supervisor, and every chaos sweep's plans.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -278,6 +279,14 @@ mod tests {
     use super::*;
     use crate::detector::CountingDetector;
     use crate::events::FenceKind;
+
+    #[test]
+    fn splitmix_is_deterministic_and_nontrivial() {
+        let mut a = 7;
+        let mut b = 7;
+        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
+        assert_ne!(splitmix64(&mut a), splitmix64(&mut b).wrapping_add(1));
+    }
 
     fn store(addr: u64) -> PmEvent {
         PmEvent::Store {

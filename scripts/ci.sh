@@ -50,7 +50,9 @@
 #               supervise     200    0x5AFE0001  worker panics/delays/alloc
 #                                                pressure -> casualty-mismatch
 #                                                lost-event-mismatch survivor-
-#                                                divergence
+#                                                divergence {degraded_runs
+#                                                faults_injected lost_events
+#                                                quarantined_shards retries}
 #               serve         200    0x5E551085  hostile clients -> hash-
 #                                                divergence loss-mismatch ...
 #                                                {ok_sessions quarantined_sessions
@@ -58,6 +60,8 @@
 #                                                retries_total}
 #               thread-crash  100    0x7C4A5AD0  killed thread subsets ->
 #                                                survivor-divergence
+#                                                {killed_threads reports_agreed
+#                                                surviving_events}
 #               daemon-crash  100    0x7C4A5AD0  daemon kills, damaged journals
 #                                                -> verdict-recomputed verdict-
 #                                                diverged phantom-verdict
@@ -74,7 +78,8 @@
 #               perturb       119    0xC4A05     one-event flush/fence/store/epoch
 #                             (memcached x64)    faults -> tallies only
 #                                                {<class>.injected .benign
-#                                                .escaped for all 7 classes}
+#                                                .escaped for all 7 classes,
+#                                                untested}
 #             (every sweep can also report `abort`; full kinds: `pmdbg help`)
 # daemon-smoke
 #             start `pmdbg serve` as a real process, push the committed
@@ -176,14 +181,14 @@ PERTURB_PINS+=",duplicate-fence.injected=14,duplicate-fence.benign=14,duplicate-
 PERTURB_PINS+=",reorder-flush-fence.injected=14,reorder-flush-fence.benign=13"
 PERTURB_PINS+=",reorder-flush-fence.escaped=0,tear-store.injected=37,tear-store.benign=36"
 PERTURB_PINS+=",tear-store.escaped=1,swap-epoch-markers.injected=0"
-PERTURB_PINS+=",swap-epoch-markers.benign=0,swap-epoch-markers.escaped=0"
+PERTURB_PINS+=",swap-epoch-markers.benign=0,swap-epoch-markers.escaped=0,untested=0"
 SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure crash-points perturb)
 SWEEP_RUNS=(
   "corrupt 500 panics --trace tests/fixtures/btree_96.pmt2"
   "corrupt 500 panics --trace tests/fixtures/hashmap_atomic_48.trace"
-  "supervise 200 -"
+  "supervise 200 degraded_runs=95,faults_injected=798,lost_events=13388,quarantined_shards=142,retries=225"
   "serve 200 ok_sessions=150,quarantined_sessions=25,hash_checks=175,frames_lost_total=910,retries_total=54"
-  "thread-crash 100 -"
+  "thread-crash 100 killed_threads=283,reports_agreed=312,surviving_events=56410"
   "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=71,torn_discarded_total=42"
   "mem-pressure 100 verdict_divergence"
   "crash-points 71 boundaries=71,images=149,untested=0"
