@@ -130,7 +130,7 @@ impl PmemcheckLike {
         // PMDebugger's.
         self.stats.fences += 1;
         self.stats.tree_node_sum += self.tree.len() as u64;
-        self.tree.drain_matching(|r| r.state == FlushState::Flushed);
+        self.tree.drain_flushed();
         // Eager reorganization: merge on every fence regardless of size —
         // the cost PMDebugger's threshold avoids.
         if self.tree.maybe_merge(0) {

@@ -172,7 +172,7 @@ impl XfdetectorLike {
     }
 
     fn on_fence(&mut self, seq: u64) {
-        self.tree.drain_matching(|r| r.state == FlushState::Flushed);
+        self.tree.drain_flushed();
         self.reports.extend(self.order.on_fence(seq));
         self.examine_failure_point();
     }

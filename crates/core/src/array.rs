@@ -46,6 +46,11 @@ impl LocEntry {
     pub fn contained_in(&self, addr: Addr, len: u64) -> bool {
         pm_trace::events::range_contains(addr, len, self.addr, self.size)
     }
+
+    /// One past the last byte, saturating at `u64::MAX`.
+    pub(crate) fn end(&self) -> Addr {
+        self.addr.saturating_add(self.size)
+    }
 }
 
 /// The fixed-size memory location array.

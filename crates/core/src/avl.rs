@@ -5,10 +5,13 @@
 //! address and augmented with the subtree's maximum end address so overlap
 //! queries prune correctly (an interval-tree AVL).
 //!
-//! Node merging — combining adjacent records into one covering a larger
-//! range, which traditional tools do eagerly — is performed only when the
-//! node count exceeds a threshold (500 in the paper), because merging comes
+//! Fences and epoch ends edit nodes in place. Node merging — combining
+//! adjacent records into one covering a larger range, which traditional
+//! tools do eagerly — is the only rebuild, and runs only when the node
+//! count exceeds a threshold (500 in the paper), because merging comes
 //! with tree restructuring cost (§4.4).
+
+use std::cmp::Ordering;
 
 use pm_trace::Addr;
 
@@ -42,6 +45,8 @@ struct Node {
     height: i32,
     /// Maximum `end()` over this subtree (interval-tree augmentation).
     max_end: Addr,
+    /// Whether this subtree holds a flushed record (steers the fence drain).
+    any_flushed: bool,
     left: Option<Box<Node>>,
     right: Option<Box<Node>>,
 }
@@ -53,6 +58,7 @@ impl Node {
             record,
             height: 1,
             max_end,
+            any_flushed: record.state == FlushState::Flushed,
             left: None,
             right: None,
         })
@@ -67,6 +73,12 @@ impl Node {
             .end()
             .max(self.left.as_ref().map_or(0, |n| n.max_end))
             .max(self.right.as_ref().map_or(0, |n| n.max_end));
+        self.any_flushed = self.flushed_below();
+    }
+
+    fn flushed_below(&self) -> bool {
+        let child = |c: &Option<Box<Node>>| c.as_ref().is_some_and(|n| n.any_flushed);
+        self.record.state == FlushState::Flushed || child(&self.left) || child(&self.right)
     }
 
     fn balance_factor(&self) -> i32 {
@@ -293,11 +305,18 @@ impl AvlTree {
         // the per-CLF match count is small in practice.
         let mut matched = Vec::new();
         self.for_each_overlapping(addr, len, |r| matched.push(*r));
-        if matched.is_empty() {
-            return 0;
-        }
-        for record in &matched {
-            self.remove_exact(record);
+        let (lo, hi) = (addr, addr.saturating_add(len));
+        for _ in &matched {
+            // Unlink the first remaining match in address order.
+            self.unlink(|n| {
+                if n.left.as_ref().is_some_and(|l| l.max_end > lo) {
+                    Some(Ordering::Less)
+                } else if n.record.addr < hi && n.record.end() > lo {
+                    Some(Ordering::Equal)
+                } else {
+                    (n.record.addr < hi).then_some(Ordering::Greater)
+                }
+            });
         }
         let count = matched.len();
         for record in matched {
@@ -318,49 +337,47 @@ impl AvlTree {
         count
     }
 
-    fn remove_exact(&mut self, target: &TreeRecord) {
-        let root = self.root.take();
-        let mut removed = false;
+    /// Unlinks the node `pick` steers to (`Less`/`Greater`: descend, `Equal`:
+    /// this one) by standard AVL deletion; the caller guarantees one exists.
+    fn unlink<P: Fn(&Node) -> Option<Ordering>>(&mut self, pick: P) {
+        let mut removed = None;
         let mut rotations = 0;
-        self.root = Self::remove_node(root, target, &mut removed, &mut rotations);
-        if removed {
-            self.len -= 1;
-            self.count_record(target, -1);
-            self.stats.removals += 1;
-            self.stats.rotations += rotations;
-        }
+        self.root = Self::unlink_node(self.root.take(), &pick, &mut removed, &mut rotations);
+        let record = removed.expect("unlink steered to a record the tree holds");
+        self.len -= 1;
+        self.count_record(&record, -1);
+        self.stats.removals += 1;
+        self.stats.rotations += rotations;
     }
 
-    fn remove_node(
+    fn unlink_node<P: Fn(&Node) -> Option<Ordering>>(
         node: Option<Box<Node>>,
-        target: &TreeRecord,
-        removed: &mut bool,
+        pick: &P,
+        removed: &mut Option<TreeRecord>,
         rotations: &mut u64,
     ) -> Option<Box<Node>> {
         let mut node = node?;
-        if !*removed && node.record == *target {
-            *removed = true;
-            return match (node.left.take(), node.right.take()) {
-                (None, None) => None,
-                (Some(child), None) | (None, Some(child)) => Some(child),
-                (Some(left), Some(right)) => {
-                    // Replace with in-order successor.
-                    let (successor, right) = Self::pop_min(right, rotations);
-                    let mut new_node = Node::new(successor);
-                    new_node.left = Some(left);
-                    new_node.right = right;
-                    Some(Self::rebalance(new_node, rotations))
+        match pick(&node) {
+            None => return Some(node),
+            Some(Ordering::Less) => {
+                node.left = Self::unlink_node(node.left.take(), pick, removed, rotations);
+            }
+            Some(Ordering::Greater) => {
+                node.right = Self::unlink_node(node.right.take(), pick, removed, rotations);
+            }
+            Some(Ordering::Equal) => {
+                *removed = Some(node.record);
+                match (node.left.take(), node.right.take()) {
+                    (None, None) => return None,
+                    (Some(child), None) | (None, Some(child)) => return Some(child),
+                    (Some(left), Some(right)) => {
+                        // Take the in-order successor's record.
+                        let (successor, right) = Self::pop_min(right, rotations);
+                        node.record = successor;
+                        node.left = Some(left);
+                        node.right = right;
+                    }
                 }
-            };
-        }
-        if target.addr < node.record.addr {
-            node.left = Self::remove_node(node.left.take(), target, removed, rotations);
-        } else {
-            // Equal keys may sit in either subtree; search right first, then
-            // left if not found.
-            node.right = Self::remove_node(node.right.take(), target, removed, rotations);
-            if !*removed {
-                node.left = Self::remove_node(node.left.take(), target, removed, rotations);
             }
         }
         Some(Self::rebalance(node, rotations))
@@ -379,48 +396,41 @@ impl AvlTree {
         }
     }
 
-    /// Removes every record matching `pred` (used at fences to drop
-    /// persisted records, §4.4). Implemented as an in-order sweep and
-    /// balanced rebuild — the "tree reorganization" cost traditional tools
-    /// pay constantly and PMDebugger pays only at fences.
+    /// Removes every flushed record (the fence operation, §4.4), unlinking
+    /// each flushed node where it sits, steered by the per-subtree flushed
+    /// bit. Free when the flushed counter is zero.
     ///
-    /// Returns the removed records.
-    pub fn drain_matching<F: Fn(&TreeRecord) -> bool>(&mut self, pred: F) -> Vec<TreeRecord> {
-        let all = self.to_sorted_vec();
-        let (removed, kept): (Vec<_>, Vec<_>) = all.into_iter().partition(|r| pred(r));
-        if !removed.is_empty() {
-            self.stats.removals += removed.len() as u64;
-            self.rebuild_from_sorted(&kept);
-        }
-        removed
-    }
-
-    /// Removes every flushed record (the common fence operation), skipping
-    /// the sweep entirely when the flushed counter says there is nothing to
-    /// remove.
+    /// Returns the number of records removed.
     pub fn drain_flushed(&mut self) -> usize {
-        if self.flushed_len == 0 {
-            return 0;
+        let count = self.flushed_len;
+        for _ in 0..count {
+            self.unlink(|n| {
+                if n.left.as_ref().is_some_and(|l| l.any_flushed) {
+                    Some(Ordering::Less)
+                } else if n.record.state == FlushState::Flushed {
+                    Some(Ordering::Equal)
+                } else {
+                    n.any_flushed.then_some(Ordering::Greater)
+                }
+            });
         }
-        self.drain_matching(|r| r.state == FlushState::Flushed)
-            .len()
+        count
     }
 
-    /// Clears the epoch flag on every record, skipping the rebuild when no
-    /// record carries the flag.
+    /// Clears the epoch flag on every record in one in-place walk, skipped
+    /// when no record carries the flag.
     pub fn clear_epoch_flags(&mut self) {
-        if self.epoch_len == 0 {
-            return;
+        fn clear(node: &mut Option<Box<Node>>) {
+            if let Some(node) = node {
+                node.record.in_epoch = false;
+                clear(&mut node.left);
+                clear(&mut node.right);
+            }
         }
-        let cleared: Vec<TreeRecord> = self
-            .to_sorted_vec()
-            .into_iter()
-            .map(|mut r| {
-                r.in_epoch = false;
-                r
-            })
-            .collect();
-        self.rebuild_from_sorted(&cleared);
+        if self.epoch_len > 0 {
+            clear(&mut self.root);
+            self.epoch_len = 0;
+        }
     }
 
     /// In-order (address-sorted) snapshot of all records.
@@ -578,6 +588,9 @@ impl AvlTree {
             if node.max_end != max_end {
                 return Err(format!("stale max_end at {:#x}", node.record.addr));
             }
+            if node.any_flushed != node.flushed_below() {
+                return Err(format!("stale flushed bit at {:#x}", node.record.addr));
+            }
             let min_key = lrange.map_or(node.record.addr, |(lo, _)| lo);
             let max_key = rrange.map_or(node.record.addr, |(_, hi)| hi);
             Ok((height, max_end, Some((min_key, max_key))))
@@ -611,7 +624,7 @@ pub fn split_against_flush(
     covered_state: FlushState,
 ) -> SmallReplacement {
     let r_lo = record.addr;
-    let r_hi = record.addr + record.size;
+    let r_hi = record.end();
     let c_lo = r_lo.max(f_lo);
     let c_hi = r_hi.min(f_hi);
     let mut covered = record;
@@ -695,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_removes_and_returns() {
+    fn drain_flushed_removes_only_flushed() {
         let mut tree = AvlTree::new();
         for i in 0..10u64 {
             let mut r = rec(i * 64, 8);
@@ -704,14 +717,15 @@ mod tests {
             }
             tree.insert(r);
         }
-        let removed = tree.drain_matching(|r| r.state == FlushState::Flushed);
-        assert_eq!(removed.len(), 5);
+        assert_eq!(tree.flushed_len(), 5);
+        assert_eq!(tree.drain_flushed(), 5);
         assert_eq!(tree.len(), 5);
+        assert_eq!(tree.flushed_len(), 0);
+        assert_eq!(tree.stats().removals, 5);
         tree.check_invariants().unwrap();
-        assert!(tree
-            .to_sorted_vec()
-            .iter()
-            .all(|r| r.state == FlushState::NotFlushed));
+        let kept: Vec<u64> = tree.to_sorted_vec().iter().map(|r| r.addr).collect();
+        assert_eq!(kept, vec![64, 192, 320, 448, 576]);
+        assert_eq!(tree.drain_flushed(), 0);
     }
 
     #[test]
@@ -802,6 +816,148 @@ mod tests {
         let stats = tree.stats();
         assert_eq!(stats.inserts, 100);
         assert!(stats.rotations > 0);
+    }
+
+    /// The tree's observable sequence as a sorted `Vec`: an insert lands
+    /// at the end of its start-address run, and an update removes every
+    /// match, then inserts the replacements in match order.
+    #[derive(Default)]
+    struct Model(Vec<TreeRecord>);
+
+    impl Model {
+        fn insert(&mut self, record: TreeRecord) {
+            let at = self.0.partition_point(|r| r.addr <= record.addr);
+            self.0.insert(at, record);
+        }
+
+        fn matches(&self, lo: Addr, hi: Addr) -> Vec<TreeRecord> {
+            let hit = |r: &&TreeRecord| r.addr < hi && r.end() > lo;
+            self.0.iter().filter(hit).copied().collect()
+        }
+
+        fn update(&mut self, lo: Addr, hi: Addr, f: impl Fn(TreeRecord) -> SmallReplacement) {
+            let matched = self.matches(lo, hi);
+            self.0.retain(|r| !(r.addr < hi && r.end() > lo));
+            for record in matched {
+                let replacements = match f(record) {
+                    SmallReplacement::Drop => vec![],
+                    SmallReplacement::One(a) => vec![a],
+                    SmallReplacement::Two(a, b) => vec![a, b],
+                    SmallReplacement::Three(a, b, c) => vec![a, b, c],
+                };
+                replacements.into_iter().for_each(|r| self.insert(r));
+            }
+        }
+
+        fn merge(&mut self, threshold: usize) {
+            if self.0.len() <= threshold {
+                return;
+            }
+            let mut merged: Vec<TreeRecord> = Vec::new();
+            for r in self.0.drain(..) {
+                match merged.last_mut() {
+                    Some(l)
+                        if l.end() >= r.addr && (l.state, l.in_epoch) == (r.state, r.in_epoch) =>
+                    {
+                        l.size = l.end().max(r.end()) - l.addr;
+                        l.store_seq = l.store_seq.max(r.store_seq);
+                    }
+                    _ => merged.push(r),
+                }
+            }
+            self.0 = merged;
+        }
+    }
+
+    /// The update closures exercised: flip, split, drop-or-flip, and the
+    /// bookkeeping space's own flush rule.
+    fn replacement(kind: u64, r: TreeRecord, lo: Addr, hi: Addr) -> SmallReplacement {
+        let flip = TreeRecord {
+            state: FlushState::Flushed,
+            ..r
+        };
+        match kind {
+            0 => SmallReplacement::One(flip),
+            1 => split_against_flush(r, lo, hi, FlushState::Flushed),
+            2 if r.store_seq.is_multiple_of(2) => SmallReplacement::Drop,
+            2 => SmallReplacement::One(flip),
+            _ if r.state == FlushState::Flushed => SmallReplacement::One(r),
+            _ => split_against_flush(r, lo, hi, FlushState::Flushed),
+        }
+    }
+
+    /// Small addresses collide into start-address runs; the top selectors
+    /// sit within 40 bytes of `u64::MAX`, so their ends saturate.
+    fn address(sel: u64) -> Addr {
+        if sel < 40 {
+            sel * 4
+        } else {
+            u64::MAX - (sel - 40) * 8
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tree_sequence_matches_sorted_vec_model(
+            ops in proptest::collection::vec((0u64..10, 0u64..45, 0u64..40, 0u64..4), 1..120)
+        ) {
+            let mut tree = AvlTree::new();
+            let mut model = Model::default();
+            for (step, &(op, sel, size, kind)) in ops.iter().enumerate() {
+                let (lo, hi) = (address(sel), address(sel).saturating_add(size));
+                match op {
+                    0..=2 => {
+                        let record = TreeRecord {
+                            addr: address(sel),
+                            size,
+                            state: if kind.is_multiple_of(2) { FlushState::NotFlushed } else { FlushState::Flushed },
+                            in_epoch: kind >= 2,
+                            store_seq: step as u64,
+                        };
+                        tree.insert(record);
+                        model.insert(record);
+                    }
+                    3..=5 => {
+                        let expected = model.matches(lo, hi).len();
+                        let count = tree.update_overlapping(lo, size, |r| replacement(kind, r, lo, hi));
+                        model.update(lo, hi, |r| replacement(kind, r, lo, hi));
+                        prop_assert_eq!(count, expected);
+                    }
+                    6 => {
+                        let expected = model.0.iter().filter(|r| r.state == FlushState::Flushed).count();
+                        prop_assert_eq!(tree.drain_flushed(), expected);
+                        model.0.retain(|r| r.state != FlushState::Flushed);
+                    }
+                    7 => {
+                        tree.clear_epoch_flags();
+                        model.0.iter_mut().for_each(|r| r.in_epoch = false);
+                    }
+                    8 => {
+                        tree.maybe_merge(8);
+                        model.merge(8);
+                    }
+                    _ => {
+                        let mut w = CkptWriter::new();
+                        tree.encode_into(&mut w);
+                        let bytes = w.into_bytes();
+                        tree = AvlTree::decode_from(&mut CkptReader::new(&bytes)).expect("decodes");
+                    }
+                }
+                prop_assert_eq!(tree.to_sorted_vec(), model.0.clone(), "after op {} ({:?})", step, ops[step]);
+                let mut visited = Vec::new();
+                tree.for_each_overlapping(lo, size, |r| visited.push(*r));
+                prop_assert_eq!(visited, model.matches(lo, hi));
+                prop_assert_eq!(tree.len(), model.0.len());
+                let flushed = model.0.iter().filter(|r| r.state == FlushState::Flushed).count();
+                prop_assert_eq!(tree.flushed_len(), flushed);
+                prop_assert_eq!(tree.epoch_len(), model.0.iter().filter(|r| r.in_epoch).count());
+                tree.check_invariants().map_err(TestCaseError::fail)?;
+            }
+        }
     }
 
     #[test]

@@ -433,7 +433,7 @@ impl BookkeepingSpace {
                 // every uncovered sub-range goes to the tree (§4.3).
                 newly += 1;
                 self.stats.splits += 1;
-                let e_end = entry.addr + entry.size;
+                let e_end = entry.end();
                 let cov_lo = entry.addr.max(addr);
                 let cov_hi = e_end.min(f_end);
                 {
@@ -473,8 +473,7 @@ impl BookkeepingSpace {
         outcome.persisted += self.tree.drain_flushed();
 
         // 2. Array, via interval metadata.
-        let intervals: Vec<_> = self.intervals.intervals().to_vec();
-        for meta in intervals {
+        for meta in self.intervals.intervals() {
             match meta.state {
                 IntervalState::AllFlushed => {
                     // Collective O(1) deletion: metadata invalidation only.
@@ -697,6 +696,25 @@ mod tests {
         assert_eq!(residuals.len(), 1);
         assert_eq!(residuals[0].addr, 64);
         assert_eq!(residuals[0].size, 64);
+    }
+
+    #[test]
+    fn partial_flush_of_records_ending_past_u64_max_saturates() {
+        let lo = u64::MAX - 63;
+        let mut s = space();
+        s.on_store(lo, 128, false, 0, false);
+        assert_eq!(s.on_flush(lo, 32).newly_flushed, 1); // array element
+        assert_eq!(s.on_fence().persisted, 1);
+        let residuals = s.residuals();
+        assert_eq!((residuals[0].addr, residuals[0].size), (lo + 32, 31));
+
+        let mut s = space();
+        s.on_store(lo, 128, false, 0, false);
+        assert_eq!(s.on_fence().migrated_to_tree, 1);
+        assert_eq!(s.on_flush(lo + 32, 8).newly_flushed, 1); // tree record
+        assert_eq!(s.on_fence().persisted, 1);
+        let kept: Vec<_> = s.residuals().iter().map(|r| (r.addr, r.size)).collect();
+        assert_eq!(kept, vec![(lo, 32), (lo + 40, 23)]);
     }
 
     #[test]

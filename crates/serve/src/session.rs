@@ -394,13 +394,12 @@ fn retry_jitter(session_id: u64, attempt: u32, base: Duration) -> Duration {
     if base_ns == 0 {
         return Duration::ZERO;
     }
-    let mut z = session_id
+    // `splitmix64` adds one increment before mixing, so attempt `a`
+    // starts `a - 1` increments past the session's seed.
+    let mut state = session_id
         .rotate_left(32)
-        .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    Duration::from_nanos(z % base_ns)
+        .wrapping_add(u64::from(attempt.wrapping_sub(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    Duration::from_nanos(pm_trace::splitmix64(&mut state) % base_ns)
 }
 
 /// What the head bytes of a connection turned out to be.
@@ -809,6 +808,57 @@ mod tests {
     use super::*;
     use crate::config::Listen;
     use pm_trace::{to_binary, FenceKind, FlushKind, ThreadId, Trace};
+
+    /// The jitter for sessions 0..32 at attempts 1..=4 on a 5 ms base, as
+    /// the hand-inlined finalizer computed it before `retry_jitter` called
+    /// `pm_trace::splitmix64`.
+    #[test]
+    fn retry_jitter_is_pinned() {
+        let pinned: [[u64; 4]; 32] = [
+            [3607535, 4355700, 1545679, 542444],
+            [3000056, 4693437, 514069, 2547701],
+            [2495282, 89532, 3896216, 3177067],
+            [305595, 4793508, 3112149, 1386200],
+            [921743, 3128925, 968497, 4659429],
+            [4775146, 3858857, 1140863, 1083907],
+            [4686044, 230198, 3013927, 3844939],
+            [1273489, 1611828, 461018, 4554989],
+            [199074, 1384283, 297912, 1840718],
+            [4098353, 425415, 3885516, 3510490],
+            [1575989, 4968989, 2811534, 3333459],
+            [2160810, 3529955, 1391869, 505462],
+            [718839, 1325875, 4839377, 3856602],
+            [58908, 3584909, 3692278, 3107912],
+            [1001610, 4854655, 2227068, 4644541],
+            [523899, 3174303, 1734862, 2899581],
+            [1381742, 1236809, 2612136, 1477048],
+            [1224259, 604959, 2915162, 3430108],
+            [180839, 874472, 1833190, 1376583],
+            [1872918, 1598362, 1433150, 3052540],
+            [1142183, 266641, 3441823, 251592],
+            [3576008, 147909, 4072044, 4819252],
+            [2484245, 1830520, 2504949, 3670630],
+            [4851860, 2915387, 155890, 230541],
+            [3943271, 4200618, 4019392, 1633550],
+            [583498, 3139608, 1782883, 2678700],
+            [3273324, 4299121, 1271851, 1431896],
+            [2864493, 2343994, 2003602, 1052918],
+            [3616588, 3631192, 829242, 3534361],
+            [1072184, 4197895, 1635432, 4603630],
+            [316515, 4317066, 3038151, 2489508],
+            [663445, 4258440, 4755081, 4755431],
+        ];
+        for (session, row) in pinned.iter().enumerate() {
+            for (attempt, &ns) in (1u32..).zip(row) {
+                let jitter = retry_jitter(session as u64, attempt, Duration::from_millis(5));
+                assert_eq!(
+                    jitter,
+                    Duration::from_nanos(ns),
+                    "session {session} attempt {attempt}"
+                );
+            }
+        }
+    }
 
     /// In-memory duplex: the test writes the request up front; the host
     /// reads it, then writes its response into `out`.
