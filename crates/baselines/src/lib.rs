@@ -3,8 +3,8 @@
 //! The paper compares PMDebugger against three tools. Those tools are C/C++
 //! binaries bound to Valgrind, PIN or source annotations; what the
 //! comparison actually contrasts is their *detection architectures*. This
-//! crate re-implements each architecture over the same [`pm_trace::PmEvent`]
-//! stream:
+//! crate re-implements each architecture over the same
+//! [`pm_trace::PmEventRef`] stream that PMDebugger consumes:
 //!
 //! * [`PmemcheckLike`] — industry-quality Valgrind tool architecture:
 //!   a single global tree tracks every store individually, every CLF

@@ -16,7 +16,7 @@
 //! Detected bug types (Table 6): no-durability-guarantee,
 //! multiple-overwrites, redundant-flushes, flush-nothing.
 
-use pm_trace::{Addr, BugKind, BugReport, Detector, PmEvent};
+use pm_trace::{Addr, BugKind, BugReport, Detector, PmEventRef};
 use pmdebugger::avl::{split_against_flush, AvlTree, SmallReplacement, TreeRecord};
 use pmdebugger::FlushState;
 
@@ -144,16 +144,16 @@ impl Detector for PmemcheckLike {
         "pmemcheck"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent) {
+    fn on_event(&mut self, seq: u64, event: &PmEventRef<'_>) {
         match event {
-            PmEvent::Store {
+            PmEventRef::Store {
                 addr,
                 size,
                 in_epoch,
                 ..
             } => self.on_store(seq, *addr, u64::from(*size), *in_epoch),
-            PmEvent::Flush { addr, size, .. } => self.on_flush(seq, *addr, u64::from(*size)),
-            PmEvent::Fence { .. } | PmEvent::JoinStrand { .. } => self.on_fence(),
+            PmEventRef::Flush { addr, size, .. } => self.on_flush(seq, *addr, u64::from(*size)),
+            PmEventRef::Fence { .. } | PmEventRef::JoinStrand { .. } => self.on_fence(),
             // Pmemcheck understands transactions only to silence
             // overwrite reports inside them is *not* modelled; it has no
             // epoch/strand/order/logging/cross-failure rules (Table 6).
@@ -183,6 +183,7 @@ impl Detector for PmemcheckLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::PmEvent;
     use pm_trace::{FenceKind, FlushKind, ThreadId};
 
     fn store(addr: Addr) -> PmEvent {
@@ -217,7 +218,7 @@ mod tests {
     fn run(events: Vec<PmEvent>) -> Vec<BugReport> {
         let mut det = PmemcheckLike::new();
         for (seq, e) in events.iter().enumerate() {
-            det.on_event(seq as u64, e);
+            det.on_event(seq as u64, &e.as_ref());
         }
         det.finish()
     }
@@ -286,11 +287,11 @@ mod tests {
         for round in 0..10u64 {
             // Two adjacent unflushed stores that survive each fence and
             // coalesce under the eager merge policy.
-            det.on_event(seq, &store(round * 256));
+            det.on_event(seq, &store(round * 256).as_ref());
             seq += 1;
-            det.on_event(seq, &store(round * 256 + 8));
+            det.on_event(seq, &store(round * 256 + 8).as_ref());
             seq += 1;
-            det.on_event(seq, &fence());
+            det.on_event(seq, &fence().as_ref());
             seq += 1;
         }
         assert_eq!(det.stats().fences, 10);
@@ -302,7 +303,7 @@ mod tests {
     fn tree_grows_without_array_staging() {
         let mut det = PmemcheckLike::new();
         for i in 0..100u64 {
-            det.on_event(i, &store(i * 64));
+            det.on_event(i, &store(i * 64).as_ref());
         }
         assert_eq!(det.tree_stats().inserts, 100);
     }

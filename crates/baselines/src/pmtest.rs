@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use pm_trace::{Addr, Annotation, BugKind, BugReport, Detector, PmEvent};
+use pm_trace::{Addr, Annotation, BugKind, BugReport, Detector, PmEventRef};
 use pmem_sim::line_base;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,9 +156,9 @@ impl Detector for PmtestLike {
         "pmtest"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent) {
+    fn on_event(&mut self, seq: u64, event: &PmEventRef<'_>) {
         match event {
-            PmEvent::Store { addr, size, .. } => {
+            PmEventRef::Store { addr, size, .. } => {
                 let size = u64::from(*size);
                 if self.in_checker {
                     let overlap = self
@@ -190,7 +190,7 @@ impl Detector for PmtestLike {
                     line += pmem_sim::CACHE_LINE_SIZE;
                 }
             }
-            PmEvent::Flush { addr, size, .. } => {
+            PmEventRef::Flush { addr, size, .. } => {
                 let mut redundant_hit = false;
                 let mut any_dirty = false;
                 let mut line = line_base(*addr);
@@ -220,7 +220,7 @@ impl Detector for PmtestLike {
                     );
                 }
             }
-            PmEvent::Fence { .. } | PmEvent::JoinStrand { .. } => {
+            PmEventRef::Fence { .. } | PmEventRef::JoinStrand { .. } => {
                 self.fence_count += 1;
                 let at = self.fence_count;
                 for line in self.pending.drain(..) {
@@ -232,7 +232,7 @@ impl Detector for PmtestLike {
                     }
                 }
             }
-            PmEvent::TxLog { obj_addr, size, .. } => {
+            PmEventRef::TxLog { obj_addr, size, .. } => {
                 let size = u64::from(*size);
                 for (la, ll, logged) in self.tracked_logs.iter_mut() {
                     if pm_trace::events::ranges_overlap(*la, *ll, *obj_addr, size) {
@@ -250,12 +250,12 @@ impl Detector for PmtestLike {
                     }
                 }
             }
-            PmEvent::EpochEnd { .. } => {
+            PmEventRef::EpochEnd { .. } => {
                 for (_, _, logged) in self.tracked_logs.iter_mut() {
                     *logged = false;
                 }
             }
-            PmEvent::Annotation(annotation) => self.handle_annotation(seq, annotation),
+            PmEventRef::Annotation(annotation) => self.handle_annotation(seq, annotation),
             _ => {}
         }
     }
@@ -270,6 +270,7 @@ impl Detector for PmtestLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::PmEvent;
     use pm_trace::{FenceKind, FlushKind, ThreadId};
 
     fn store(addr: Addr) -> PmEvent {
@@ -308,7 +309,7 @@ mod tests {
     fn run(events: Vec<PmEvent>) -> Vec<BugReport> {
         let mut det = PmtestLike::new();
         for (seq, e) in events.iter().enumerate() {
-            det.on_event(seq as u64, e);
+            det.on_event(seq as u64, &e.as_ref());
         }
         det.finish()
     }

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use pm_trace::{Addr, BugKind, BugReport, Detector, OrderSpec, PmEvent, ThreadId};
+use pm_trace::{Addr, BugKind, BugReport, Detector, OrderSpec, PmEventRef, ThreadId};
 use pmdebugger::avl::{split_against_flush, AvlTree, SmallReplacement, TreeRecord};
 use pmdebugger::{FlushState, OrderTracker};
 
@@ -183,7 +183,7 @@ impl Detector for XfdetectorLike {
         "xfdetector"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent) {
+    fn on_event(&mut self, seq: u64, event: &PmEventRef<'_>) {
         // Once the failure-point budget is exhausted the remaining
         // execution is uninstrumented (the real tool only instruments a
         // bounded set of failure points; bugs past the horizon are missed,
@@ -192,15 +192,15 @@ impl Detector for XfdetectorLike {
             return;
         }
         match event {
-            PmEvent::Store {
+            PmEventRef::Store {
                 addr,
                 size,
                 in_epoch,
                 ..
             } => self.on_store(seq, *addr, u64::from(*size), *in_epoch),
-            PmEvent::Flush { addr, size, .. } => self.on_flush(seq, *addr, u64::from(*size)),
-            PmEvent::Fence { .. } | PmEvent::JoinStrand { .. } => self.on_fence(seq),
-            PmEvent::TxLog {
+            PmEventRef::Flush { addr, size, .. } => self.on_flush(seq, *addr, u64::from(*size)),
+            PmEventRef::Fence { .. } | PmEventRef::JoinStrand { .. } => self.on_fence(seq),
+            PmEventRef::TxLog {
                 obj_addr,
                 size,
                 tid,
@@ -223,14 +223,14 @@ impl Detector for XfdetectorLike {
                     logged.push((*obj_addr, size));
                 }
             }
-            PmEvent::EpochEnd { tid } => {
+            PmEventRef::EpochEnd { tid } => {
                 self.logged.remove(tid);
             }
-            PmEvent::FuncEnter { name, .. } => self.order.func_enter(name),
-            PmEvent::NameRange { name, addr, size } => {
+            PmEventRef::FuncEnter { name, .. } => self.order.func_enter(name),
+            PmEventRef::NameRange { name, addr, size } => {
                 self.order.bind(name, *addr, u64::from(*size));
             }
-            PmEvent::Crash => {
+            PmEventRef::Crash => {
                 let residuals: Vec<(Addr, u64)> = self
                     .tree
                     .to_sorted_vec()
@@ -240,7 +240,7 @@ impl Detector for XfdetectorLike {
                 self.crash_residuals = Some(residuals);
                 self.tree = AvlTree::new();
             }
-            PmEvent::RecoveryRead { addr, size } => {
+            PmEventRef::RecoveryRead { addr, size } => {
                 if let Some(residuals) = &self.crash_residuals {
                     let inconsistent = residuals.iter().any(|(ra, rl)| {
                         pm_trace::events::ranges_overlap(*ra, *rl, *addr, u64::from(*size))
@@ -283,6 +283,7 @@ impl Detector for XfdetectorLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_trace::PmEvent;
     use pm_trace::{FenceKind, FlushKind};
 
     fn store(addr: Addr) -> PmEvent {
@@ -317,7 +318,7 @@ mod tests {
     fn run(events: Vec<PmEvent>) -> Vec<BugReport> {
         let mut det = XfdetectorLike::default();
         for (seq, e) in events.iter().enumerate() {
-            det.on_event(seq as u64, e);
+            det.on_event(seq as u64, &e.as_ref());
         }
         det.finish()
     }
@@ -377,7 +378,7 @@ mod tests {
             fence(),
         ];
         for (seq, e) in events.iter().enumerate() {
-            det.on_event(seq as u64, e);
+            det.on_event(seq as u64, &e.as_ref());
         }
         let r = det.finish();
         assert!(r.iter().any(|b| b.kind == BugKind::NoOrderGuarantee));
@@ -388,9 +389,9 @@ mod tests {
         let mut det = XfdetectorLike::default();
         let mut seq = 0;
         for i in 0..50u64 {
-            det.on_event(seq, &store(i * 64));
+            det.on_event(seq, &store(i * 64).as_ref());
             seq += 1;
-            det.on_event(seq, &fence()); // nothing persisted: state grows
+            det.on_event(seq, &fence().as_ref()); // nothing persisted: state grows
             seq += 1;
         }
         let stats = det.stats();
@@ -404,9 +405,9 @@ mod tests {
         let mut det = XfdetectorLike::default().with_max_failure_points(3);
         let mut seq = 0;
         for i in 0..10u64 {
-            det.on_event(seq, &store(i * 64));
+            det.on_event(seq, &store(i * 64).as_ref());
             seq += 1;
-            det.on_event(seq, &fence());
+            det.on_event(seq, &fence().as_ref());
             seq += 1;
         }
         assert_eq!(det.stats().failure_points, 3);

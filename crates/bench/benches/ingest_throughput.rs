@@ -18,8 +18,9 @@
 //!
 //! `identical` is asserted from untimed runs: the walker must produce the
 //! decoder's exact event sequence, the same `IngestReport` accounting
-//! (modulo wall-clock) and the same detection report hash (owned
-//! `detect_stream` vs borrowed `detect_stream_ref`) on every input.
+//! (modulo wall-clock) and the same detection report hash (`detect_stream`
+//! over the decoder's owned events vs over the walker's borrowed ones) on
+//! every input.
 //!
 //! Env knobs: `PM_BENCH_SMOKE` shrinks inputs for the CI smoke stage,
 //! `PM_BENCH_FULL` grows them; `PM_BENCH_JSON` overrides the output path.
@@ -29,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use pm_bench::{banner, TextTable};
 use pm_trace::{
-    report_hash, Detector, FenceKind, IngestLimits, IngestMode, IngestReport, PmEvent,
-    StreamDecoder, ThreadId, Trace, ZeroCopy,
+    report_hash, FenceKind, IngestLimits, IngestMode, IngestReport, PmEvent, StreamDecoder,
+    ThreadId, Trace, ZeroCopy,
 };
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 use pmem_sim::FlushKind;
@@ -187,13 +188,9 @@ fn measure(name: &'static str, trace: &Trace, repeats: usize) -> WorkloadResult 
     else {
         panic!("{name}: image classified as text");
     };
-    let mut engine = PmDebugger::new(config);
-    let mut seq = 0u64;
-    while let Some(event) = detect_walker.next_ref().expect("walk") {
-        engine.on_event_ref(seq, &event);
-        seq += 1;
-    }
-    let ref_reports = engine.finish();
+    let ref_reports = PmDebugger::new(config).detect_stream(std::iter::from_fn(|| {
+        detect_walker.next_ref().expect("walk")
+    }));
     let hash = report_hash(&owned_reports);
     identical &= hash == report_hash(&ref_reports) && owned_reports == ref_reports;
 

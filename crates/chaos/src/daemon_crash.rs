@@ -38,7 +38,9 @@ use pm_serve::{
     fetch_stats, session_preface, JournalEnv, JournalIo, Listen, PushResponse, ServeConfig, Server,
     SessionStatus, JOURNAL_FILE_MAGIC,
 };
-use pm_trace::{ingest_bytes, splitmix64, to_binary, IngestLimits, IngestMode};
+use pm_trace::{
+    ingest_bytes, splitmix64, to_binary, zero_copy, IngestLimits, IngestMode, ZeroCopy,
+};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, PersistencyModel};
 
@@ -71,6 +73,10 @@ pub enum FaultSpec {
 struct FileBuf {
     durable: Vec<u8>,
     volatile: Vec<u8>,
+    /// Journal records whose append and sync both returned.
+    records: usize,
+    /// A record append failed; the journal takes no more records.
+    failed: bool,
 }
 
 struct FaultFsInner {
@@ -184,6 +190,26 @@ impl FaultFs {
         }
     }
 
+    /// Whether `key`'s journal holds at least `records` records, or an
+    /// append to it failed (after which the server writes it no more).
+    /// Either way its bytes stop changing until the stream moves on.
+    pub fn journal_settled(&self, key: &str, records: usize) -> bool {
+        let st = self.inner.state.lock().expect("fault fs poisoned");
+        st.files
+            .get(key)
+            .is_some_and(|f| f.failed || f.records >= records)
+    }
+
+    fn note_record(&self, key: &str, result: &io::Result<()>, synced: bool) {
+        let mut st = self.inner.state.lock().expect("fault fs poisoned");
+        let file = st.files.entry(key.to_owned()).or_default();
+        match result {
+            Err(_) => file.failed = true,
+            Ok(()) if synced => file.records += 1,
+            Ok(()) => {}
+        }
+    }
+
     /// Current visible (durable + volatile) size of `key`'s journal.
     pub fn visible_len(&self, key: &str) -> usize {
         let st = self.inner.state.lock().expect("fault fs poisoned");
@@ -200,10 +226,14 @@ struct FaultIo {
 
 impl JournalIo for FaultIo {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.fs.append_bytes(&self.key, bytes)
+        let result = self.fs.append_bytes(&self.key, bytes);
+        self.fs.note_record(&self.key, &result, false);
+        result
     }
     fn sync(&mut self) -> io::Result<()> {
-        self.fs.sync_key(&self.key)
+        let result = self.fs.sync_key(&self.key);
+        self.fs.note_record(&self.key, &result, true);
+        result
     }
 }
 
@@ -357,12 +387,33 @@ fn push_keyed_retry(listen: &Listen, key: &str, bytes: &[u8]) -> io::Result<Push
     push_with_retry(listen, Some(key), bytes).map(|(response, _)| response)
 }
 
-/// Connects and streams the session preface plus the first 70% of
-/// `bytes`, holding the connection open mid-session.
+/// The part of a plan's bytes [`push_prefix`] sends: the first 70%.
+fn prefix(bytes: &[u8]) -> &[u8] {
+    &bytes[..bytes.len() * 7 / 10]
+}
+
+/// Batch boundaries a daemon commits while it holds [`prefix`] of
+/// `bytes`: the complete frames in the prefix are its events, and a
+/// full batch is fed (and journaled) when the event after it arrives.
+fn prefix_boundaries(bytes: &[u8]) -> usize {
+    let mut events = 0usize;
+    if let Ok(ZeroCopy::Binary(mut walker)) =
+        zero_copy(prefix(bytes), IngestMode::Strict, &IngestLimits::default())
+    {
+        // Strict walking stops at the frame the cut tore.
+        while let Ok(Some(_)) = walker.next_ref() {
+            events += 1;
+        }
+    }
+    events.saturating_sub(1) / SWEEP_CHECKPOINT_EVERY
+}
+
+/// Connects and streams the session preface plus [`prefix`] of `bytes`,
+/// holding the connection open mid-session.
 fn push_prefix(listen: &Listen, key: &str, bytes: &[u8]) -> io::Result<ClientConn> {
     let mut conn = connect_stream(listen)?;
     conn.write_all(&session_preface(key))?;
-    conn.write_all(&bytes[..bytes.len() * 7 / 10])?;
+    conn.write_all(prefix(bytes))?;
     conn.flush()?;
     Ok(conn)
 }
@@ -474,19 +525,25 @@ fn run_in_process(crash: CrashPlan, seed: u64, index: u64, steps: &mut Vec<Step>
 
     let mut completed_on_a: Option<PushResponse> = None;
     if kill_mid {
-        // Push a prefix, hold the connection open, and wait for at
-        // least one committed batch boundary to reach the journal
-        // before pulling the plug.
+        // Push a prefix, hold the connection open, and wait until every
+        // batch boundary inside the prefix has reached the journal (or
+        // the faulty device refused a record) before pulling the plug:
+        // the journal the power cut tears is then a function of the
+        // plan, not of how far the daemon got.
+        let boundaries = prefix_boundaries(&bytes);
         match push_prefix(&listen, &key, &bytes) {
             Ok(conn) => {
                 let committed = wait_for(
-                    || fs.visible_len(&key) > JOURNAL_FILE_MAGIC.len(),
+                    || fs.journal_settled(&key, boundaries),
                     Duration::from_secs(3),
                 );
                 if !committed && crash == CrashPlan::KillMidStream {
                     steps.push(Step::Violation(
                         "no-commit-before-kill",
-                        "no journal record appeared within 3 s of a mid-stream push".to_owned(),
+                        format!(
+                            "the journal did not reach {boundaries} records within 3 s \
+                             of a mid-stream push"
+                        ),
                     ));
                 }
                 // Hard kill: zero drain, sessions abandoned mid-flight.
@@ -850,6 +907,39 @@ mod tests {
         assert!(err.to_string().contains("no space"));
         // The torn partial landing is visible.
         assert_eq!(fs.visible_len("k"), 10);
+    }
+
+    #[test]
+    fn journal_settles_on_synced_records_or_a_failed_append() {
+        let fs = FaultFs::new(FaultSpec::ShortWrite { after_bytes: 40 }, 5);
+        let mut io = fs.open_append(Path::new("."), "k").unwrap();
+        assert!(fs.journal_settled("k", 0));
+        io.append(&[1; 16]).unwrap();
+        assert!(!fs.journal_settled("k", 1), "appended but not synced");
+        io.sync().unwrap();
+        assert!(fs.journal_settled("k", 1));
+        assert!(!fs.journal_settled("k", 2));
+        // The device tears the next record: no more records will come.
+        assert!(io.append(&[2; 32]).is_err());
+        assert!(fs.journal_settled("k", 2));
+        assert!(!fs.journal_settled("other", 0), "no journal yet");
+    }
+
+    #[test]
+    fn a_plan_waits_for_every_boundary_in_its_prefix() {
+        let bytes = payload(0x7C4A_5AD0, 3);
+        let events = ingest_bytes(
+            prefix(&bytes),
+            IngestMode::Salvage,
+            &IngestLimits::default(),
+        )
+        .map(|(trace, _)| trace.len())
+        .unwrap();
+        assert!(events > SWEEP_CHECKPOINT_EVERY, "{events} events");
+        assert_eq!(
+            prefix_boundaries(&bytes),
+            (events - 1) / SWEEP_CHECKPOINT_EVERY
+        );
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl Sweep for PerturbSweep {
     fn run(&mut self, plan: &Perturbation) -> PerturbOutcome {
         self.plans_run += 1;
         let mutated = apply(&self.trace, plan).expect("enumerated perturbations apply");
-        if semantic_fingerprint(&mutated) == self.fingerprint {
+        if self.fingerprint.same_fate(&semantic_fingerprint(&mutated)) {
             return None;
         }
         let counts = detector_counts(&mutated, self.model);
@@ -484,6 +484,24 @@ mod tests {
         let report = run_sweep(&mut sweep, &SweepOptions::new(capped, 1));
         assert_eq!(report.tally("untested"), (all.len() - capped) as u64);
         assert_eq!(sweep_clean(3).tally("untested"), 0);
+    }
+
+    #[test]
+    fn tearing_a_store_whose_lines_nothing_else_touches_is_benign() {
+        // A two-line store, then its full flush and a fence: the torn half
+        // never writes the second line, and the first line's fate is
+        // unchanged, so recovery cannot tell the traces apart.
+        let mut rt = PmRuntime::trace_only();
+        rt.record();
+        rt.store_untyped(0, 128);
+        rt.flush_range(FlushKind::Clwb, 0, 128).unwrap();
+        rt.sfence();
+        let trace = rt.try_take_trace().unwrap();
+        let mut sweep = PerturbSweep::new(trace, PersistencyModel::Strict).unwrap();
+        let report = run_sweep(&mut sweep, &SweepOptions::new(512, 1));
+        assert_eq!(report.tally("tear-store.injected"), 1);
+        assert_eq!(report.tally("tear-store.benign"), 1, "{}", report.to_json());
+        assert_eq!(report.tally("tear-store.escaped"), 0);
     }
 
     #[test]

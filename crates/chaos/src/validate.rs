@@ -21,7 +21,8 @@
 //!
 //! [`semantic_fingerprint`] condenses a trace's persistence behaviour into
 //! a comparable value: the differential oracle calls a perturbation benign
-//! exactly when the fingerprint is unchanged.
+//! exactly when every line the perturbed trace stores keeps its fate
+//! ([`Fingerprint::same_fate`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -506,6 +507,20 @@ pub struct Fingerprint {
     /// Per epoch (in completion order): lines stored in the epoch whose
     /// content was not durable at epoch end.
     epoch_residuals: Vec<Vec<u64>>,
+}
+
+impl Fingerprint {
+    /// Whether a `mutated` trace leaves recovery where this one does. Only
+    /// the lines the mutated trace stores are compared: a line it never
+    /// stores (the cut-off half of a torn store) has no fate there to
+    /// differ, and no detector can flag a store that never happened.
+    pub fn same_fate(&self, mutated: &Fingerprint) -> bool {
+        self.epoch_residuals == mutated.epoch_residuals
+            && mutated
+                .lines
+                .iter()
+                .all(|(line, fate)| self.lines.get(line) == Some(fate))
+    }
 }
 
 /// Computes the [`Fingerprint`] of a trace.

@@ -941,12 +941,12 @@ fn write_manifest(
     writeln!(out, "metrics manifest -> {path}").map_err(wr)
 }
 
-/// Replays a v2 binary image through the sequential pmdebugger engine with
-/// zero-copy ingestion: frames are CRC-checked and decoded in place into
-/// borrowed events ([`pm_trace::PmEventRef`]) fed straight to the engine —
-/// no owned [`Trace`], no per-event allocation. Reports, salvage/ingest
-/// accounting and the metrics manifest are the same as a parallel replay
-/// (`--threads N`) of the same image.
+/// Replays a v2 binary image through one sequential detector (`tool`)
+/// with zero-copy ingestion: frames are CRC-checked and decoded in place
+/// into borrowed events ([`pm_trace::PmEventRef`]) fed straight to the
+/// detector — no owned [`Trace`], no per-event allocation. Reports,
+/// salvage/ingest accounting and the metrics manifest are the same as an
+/// owned replay of the same image.
 #[allow(clippy::too_many_arguments)]
 fn execute_replay_zero_copy(
     mut walker: pm_trace::FrameWalker<'_>,
@@ -959,14 +959,8 @@ fn execute_replay_zero_copy(
     out: &mut dyn fmt::Write,
 ) -> Result<Outcome, ExecError> {
     let registry = metrics.map(|_| MetricsRegistry::new());
-    let mut config = DebuggerConfig::for_model(model);
-    if let Some(spec) = spec {
-        config = config.with_order_spec(spec.clone());
-    }
-    let mut engine = match &registry {
-        Some(registry) => PmDebugger::with_metrics(config, registry),
-        None => PmDebugger::new(config),
-    };
+    let (mut detector, rules_self_counted) =
+        tool_with_metrics(tool, model, spec, registry.as_ref()).map_err(ExecError::Input)?;
     let start = Instant::now();
     let span = registry.as_ref().map(|r| r.span("stage.replay"));
     let mut kind_counts = [0u64; pm_trace::PmEvent::KIND_NAMES.len()];
@@ -974,11 +968,11 @@ fn execute_replay_zero_copy(
     walker
         .for_each_ref(|event| {
             kind_counts[event.kind_index()] += 1;
-            engine.on_event_ref(events, &event);
+            detector.on_event(events, &event);
             events += 1;
         })
         .map_err(|e| ExecError::Input(format!("{path}: {e}")))?;
-    let reports = engine.finish();
+    let reports = detector.finish();
     drop(span);
     let elapsed = start.elapsed();
     let ingest = walker.into_report();
@@ -1008,7 +1002,7 @@ fn execute_replay_zero_copy(
             0,
             1,
             registry,
-            manifest_digest(registry, &ReportDigest::of(&reports), false),
+            manifest_digest(registry, &ReportDigest::of(&reports), !rules_self_counted),
             out,
         )?;
     }
@@ -1421,9 +1415,9 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             };
             let model = parse_model(&model)?;
             let spec = read_order_spec(order)?;
-            // The sequential pmdebugger engine runs straight off the mapped
-            // v2 image: borrowed events, no owned `Trace`.
-            if tool == "pmdebugger" && threads == 1 {
+            // A sequential detector runs straight off the mapped v2 image:
+            // borrowed events, no owned `Trace`.
+            if threads == 1 {
                 if let pm_trace::ZeroCopy::Binary(walker) =
                     pm_trace::zero_copy(bytes, mode, &IngestLimits::default())
                         .map_err(|e| ExecError::Input(format!("{path}: {e}")))?
@@ -2231,7 +2225,7 @@ mod tests {
                 sweep("perturb", 119, PerturbSweep::DEFAULT_SEED),
                 &[
                     "\"plans_run\":119",
-                    "\"tear-store\":{\"benign\":36,\"escaped\":1",
+                    "\"tear-store\":{\"benign\":37,\"escaped\":0",
                 ],
             ),
             (
@@ -2698,6 +2692,72 @@ mod tests {
         for flag in ["--zero-copy", "--no-zero-copy"] {
             let err = parse(&args(&["replay", "--trace", "/tmp/t", flag])).unwrap_err();
             assert!(err.0.contains("unknown flag"), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn baseline_zero_copy_replay_matches_owned_text_replay() {
+        let dir = std::env::temp_dir();
+        let record = |format: &str| {
+            let path = dir.join(format!("pmdbg_cli_zcb.{format}"));
+            execute(
+                Command::Record {
+                    workload: "hashmap_tx".into(),
+                    ops: 64,
+                    format: format.into(),
+                    out: path.to_str().unwrap().to_owned(),
+                },
+                &mut String::new(),
+            )
+            .unwrap();
+            path
+        };
+        let (bin, text) = (record("bin"), record("text"));
+        let manifest = dir.join("pmdbg_cli_zcb.json");
+        let replay = |path: &std::path::Path, tool: &str| {
+            let mut out = String::new();
+            let outcome = execute_outcome(
+                Command::Replay {
+                    trace: path.to_str().unwrap().to_owned(),
+                    tool: tool.into(),
+                    model: "epoch".into(),
+                    order: None,
+                    threads: 1,
+                    metrics: Some(manifest.to_str().unwrap().to_owned()),
+                    salvage: false,
+                    supervise: SuperviseArgs::default(),
+                },
+                &mut out,
+            )
+            .unwrap();
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            (outcome, out, RunManifest::from_json(&text).unwrap())
+        };
+        for tool in ["pmemcheck", "pmtest", "xfdetector", "nulgrind"] {
+            let (zc_outcome, zc_out, zc) = replay(&bin, tool);
+            let (owned_outcome, owned_out, owned) = replay(&text, tool);
+            let (zc_head, zc_rest) = zc_out.split_once('\n').unwrap();
+            let (owned_head, owned_rest) = owned_out.split_once('\n').unwrap();
+            assert!(
+                zc_head.contains(&format!("through {tool} [zero-copy] in")),
+                "{zc_head}"
+            );
+            assert!(!owned_head.contains("[zero-copy]"), "{owned_head}");
+            let events = |head: &str| head.split(" events").next().unwrap().to_owned();
+            assert_eq!(events(zc_head), events(owned_head), "{tool}");
+            // The bug summary and the manifest tail differ only in the
+            // manifest's path, which is the same file here.
+            assert_eq!(zc_rest, owned_rest, "{tool}");
+            assert_eq!(zc_outcome.bugs_found, owned_outcome.bugs_found, "{tool}");
+            assert_eq!(zc.bugs, owned.bugs, "{tool}");
+            for (name, value) in &owned.counters {
+                if name.starts_with("events.") || name.starts_with("rule.") {
+                    assert_eq!(zc.counters.get(name), Some(value), "{tool}: {name}");
+                }
+            }
+        }
+        for path in [bin, text, manifest] {
+            std::fs::remove_file(path).ok();
         }
     }
 

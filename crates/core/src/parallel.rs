@@ -181,8 +181,9 @@ fn detect_inline(config: &DebuggerConfig, events: &[PmEvent], base_seq: u64) -> 
     let mut det = PmDebugger::new(config.clone());
     let mut kind_counts = [0u64; PmEvent::KIND_NAMES.len()];
     for (idx, event) in events.iter().enumerate() {
+        let event = event.as_ref();
         kind_counts[event.kind_index()] += 1;
-        det.on_event(base_seq + idx as u64, event);
+        det.on_event(base_seq + idx as u64, &event);
     }
     let malformed_events = det.malformed_events();
     let reports = det.finish();
@@ -221,14 +222,15 @@ pub(crate) fn run_worker_guarded(
         let broadcast = key == KEY_BROADCAST;
         if broadcast || table[key as usize] == me {
             guard.before_consume(&det)?;
+            let event = events[idx].as_ref();
             // Every event is *attributed* to exactly one worker — its
             // routing owner, or worker 0 for broadcasts — even though all
             // workers observe broadcasts. Per-kind sums across workers
             // therefore equal the sequential run's counts.
             if !broadcast || me == 0 {
-                kind_counts[events[idx].kind_index()] += 1;
+                kind_counts[event.kind_index()] += 1;
             }
-            det.on_event(base_seq + idx as u64, &events[idx]);
+            det.on_event(base_seq + idx as u64, &event);
         }
     }
     guard.finish_scan(&det)?;

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use pm_trace::{Addr, BugKind, BugReport, PmEvent};
+use pm_trace::{Addr, BugKind, BugReport, PmEventRef};
 
 use crate::debugger::{CustomRule, SpaceView};
 
@@ -40,18 +40,23 @@ impl CustomRule for EpochSizeRule {
         "epoch-size"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent, _view: &SpaceView<'_>) -> Vec<BugReport> {
+    fn on_event(
+        &mut self,
+        seq: u64,
+        event: &PmEventRef<'_>,
+        _view: &SpaceView<'_>,
+    ) -> Vec<BugReport> {
         match event {
-            PmEvent::EpochBegin { .. } => {
+            PmEventRef::EpochBegin { .. } => {
                 self.in_epoch = true;
                 self.stores_in_epoch = 0;
                 Vec::new()
             }
-            PmEvent::Store { .. } if self.in_epoch => {
+            PmEventRef::Store { .. } if self.in_epoch => {
                 self.stores_in_epoch += 1;
                 Vec::new()
             }
-            PmEvent::EpochEnd { .. } => {
+            PmEventRef::EpochEnd { .. } => {
                 self.in_epoch = false;
                 if self.stores_in_epoch > self.budget {
                     vec![BugReport::new(
@@ -95,8 +100,13 @@ impl CustomRule for FlushAmplificationRule {
         "flush-amplification"
     }
 
-    fn on_event(&mut self, _seq: u64, event: &PmEvent, _view: &SpaceView<'_>) -> Vec<BugReport> {
-        if let PmEvent::Flush { addr, size, .. } = event {
+    fn on_event(
+        &mut self,
+        _seq: u64,
+        event: &PmEventRef<'_>,
+        _view: &SpaceView<'_>,
+    ) -> Vec<BugReport> {
+        if let PmEventRef::Flush { addr, size, .. } = event {
             for line in pmem_sim::lines_covering(*addr, *size as usize) {
                 *self.flush_counts.entry(line).or_default() += 1;
             }
@@ -155,13 +165,18 @@ impl CustomRule for FailureWindowRule {
         "failure-window"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent, _view: &SpaceView<'_>) -> Vec<BugReport> {
+    fn on_event(
+        &mut self,
+        seq: u64,
+        event: &PmEventRef<'_>,
+        _view: &SpaceView<'_>,
+    ) -> Vec<BugReport> {
         match event {
-            PmEvent::Store { .. } => {
+            PmEventRef::Store { .. } => {
                 self.stores_since_fence += 1;
                 Vec::new()
             }
-            PmEvent::Fence { .. } => {
+            PmEventRef::Fence { .. } => {
                 let window = self.stores_since_fence;
                 self.stores_since_fence = 0;
                 self.worst = self.worst.max(window);
@@ -209,8 +224,13 @@ impl CustomRule for CasContentionRule {
         "cas-contention"
     }
 
-    fn on_event(&mut self, _seq: u64, event: &PmEvent, _view: &SpaceView<'_>) -> Vec<BugReport> {
-        if let PmEvent::Cas {
+    fn on_event(
+        &mut self,
+        _seq: u64,
+        event: &PmEventRef<'_>,
+        _view: &SpaceView<'_>,
+    ) -> Vec<BugReport> {
+        if let PmEventRef::Cas {
             addr,
             success: false,
             ..
@@ -245,7 +265,7 @@ impl CustomRule for CasContentionRule {
 mod tests {
     use super::*;
     use crate::debugger::PmDebugger;
-    use pm_trace::{Detector, FenceKind, ThreadId};
+    use pm_trace::{Detector, FenceKind, PmEvent, ThreadId};
 
     fn store(addr: Addr) -> PmEvent {
         PmEvent::Store {
@@ -290,7 +310,7 @@ mod tests {
         let mut debugger = PmDebugger::epoch();
         debugger.add_custom_rule(rule);
         for (seq, event) in events.iter().enumerate() {
-            debugger.on_event(seq as u64, event);
+            debugger.on_event(seq as u64, &event.as_ref());
         }
         debugger
             .finish()
@@ -410,7 +430,7 @@ mod tests {
         let mut debugger = PmDebugger::strict();
         debugger.add_custom_rule(Box::new(FailureWindowRule::new(4)));
         for (seq, event) in events.iter().enumerate() {
-            debugger.on_event(seq as u64, event);
+            debugger.on_event(seq as u64, &event.as_ref());
         }
         let reports = debugger.finish();
         assert!(reports

@@ -25,7 +25,7 @@
 //! `feed` result plus the final [`DetectSession::finish`] result is
 //! identical to [`PmDebugger::detect_stream`] over the whole stream.
 
-use pm_trace::{BugReport, Detector, PmEvent, PmEventRef};
+use pm_trace::{BugReport, Detector, PmEventRef};
 
 use crate::ckpt::{self, CheckpointDecodeError, CkptReader, CkptWriter};
 use crate::config::DebuggerConfig;
@@ -168,36 +168,22 @@ impl DetectSession {
     /// Runs one chunk of events through the detector and returns the
     /// reports they fired, in the batch detector's report order. Chunk
     /// boundaries are invisible to detection: sequence numbers continue
-    /// across calls.
+    /// across calls. A chunk is any iterator of owned (`&PmEvent`) or
+    /// borrowed ([`PmEventRef`]) events — a slice of a recorded trace and
+    /// a batch decoded straight out of a mapped file take the same path.
     ///
     /// # Panics
     ///
     /// If called after [`DetectSession::finish`] — a finished session's
     /// end-of-stream rules have already fired, so feeding it more events
     /// could only produce reports the batch detector would never emit.
-    pub fn feed(&mut self, events: &[PmEvent]) -> Vec<BugReport> {
-        assert!(!self.finished, "DetectSession::feed after finish");
-        self.events_fed += self.inner.feed_events(self.events_fed, events);
-        let out = self.inner.drain_reports();
-        self.reports_emitted += out.len() as u64;
-        out
-    }
-
-    /// [`DetectSession::feed`] over borrowed events — the zero-copy form.
-    /// Chunks of [`PmEventRef`]s decoded straight out of a mapped trace
-    /// flow through the same engine code; the byte-identity invariant
-    /// extends to mixing `feed` and `feed_ref` chunks over one stream.
-    ///
-    /// # Panics
-    ///
-    /// If called after [`DetectSession::finish`], like
-    /// [`DetectSession::feed`].
-    pub fn feed_ref<'a, I>(&mut self, events: I) -> Vec<BugReport>
+    pub fn feed<'a, I>(&mut self, events: I) -> Vec<BugReport>
     where
-        I: IntoIterator<Item = PmEventRef<'a>>,
+        I: IntoIterator,
+        I::Item: Into<PmEventRef<'a>>,
     {
         assert!(!self.finished, "DetectSession::feed after finish");
-        self.events_fed += self.inner.feed_events_ref(self.events_fed, events);
+        self.events_fed += self.inner.feed_events(self.events_fed, events);
         let out = self.inner.drain_reports();
         self.reports_emitted += out.len() as u64;
         out
@@ -275,7 +261,8 @@ impl DetectSession {
 mod tests {
     use super::*;
     use crate::config::PersistencyModel;
-    use pm_trace::{report_hash, FenceKind, FlushKind, ThreadId};
+    use crate::debugger::{CustomRule, SpaceView};
+    use pm_trace::{report_hash, BugKind, FenceKind, FlushKind, PmEvent, ThreadId};
 
     fn store(addr: u64) -> PmEvent {
         PmEvent::Store {
@@ -406,20 +393,64 @@ mod tests {
         assert_eq!(report_hash(&a_out), report_hash(&expect));
     }
 
-    #[test]
-    fn mixed_feed_and_feed_ref_chunks_match_batch() {
-        let events = sample_stream();
-        let mut session = DetectSession::new(DebuggerConfig::for_model(PersistencyModel::Strict));
-        let mut got = Vec::new();
-        for (i, chunk) in events.chunks(3).enumerate() {
-            if i % 2 == 0 {
-                got.extend(session.feed_ref(chunk.iter().map(|e| e.as_ref())));
-            } else {
-                got.extend(session.feed(chunk));
+    /// Fires on every flush that finds the line already tracked, and
+    /// reports the tracked-location count at the end.
+    struct TrackedFlush;
+
+    impl CustomRule for TrackedFlush {
+        fn name(&self) -> &str {
+            "tracked-flush"
+        }
+
+        fn on_event(
+            &mut self,
+            seq: u64,
+            event: &PmEventRef<'_>,
+            view: &SpaceView<'_>,
+        ) -> Vec<BugReport> {
+            match event {
+                PmEventRef::Flush { addr, size, .. }
+                    if view.is_tracked(*addr, u64::from(*size)) =>
+                {
+                    vec![
+                        BugReport::new(BugKind::RedundantFlushes, "flush of a tracked line")
+                            .with_event(seq),
+                    ]
+                }
+                _ => Vec::new(),
             }
         }
+
+        fn finish(&mut self, view: &SpaceView<'_>) -> Vec<BugReport> {
+            vec![BugReport::new(
+                BugKind::NoDurabilityGuarantee,
+                format!("{} locations tracked at the end", view.tracked_count()),
+            )]
+        }
+    }
+
+    #[test]
+    fn owned_slices_and_borrowed_iterators_share_one_feed() {
+        let events = sample_stream();
+        let mut expect_engine =
+            PmDebugger::new(DebuggerConfig::for_model(PersistencyModel::Strict));
+        expect_engine.add_custom_rule(Box::new(TrackedFlush));
+        let expect = expect_engine.detect_stream(&events);
+        assert!(expect
+            .iter()
+            .any(|r| r.message == "flush of a tracked line"));
+
+        let mut session = DetectSession::new(DebuggerConfig::for_model(PersistencyModel::Strict));
+        session.inner.add_custom_rule(Box::new(TrackedFlush));
+        let mut got = Vec::new();
+        for (i, chunk) in events.chunks(3).enumerate() {
+            got.extend(match i % 3 {
+                0 => session.feed(chunk),
+                1 => session.feed(chunk.iter().map(PmEvent::as_ref)),
+                _ => session.feed(&chunk.to_vec()),
+            });
+        }
         got.extend(session.finish());
-        let expect = batch(&events);
         assert_eq!(got, expect);
         assert_eq!(report_hash(&got), report_hash(&expect));
         assert_eq!(session.events_fed(), events.len() as u64);

@@ -27,7 +27,7 @@ fn config() -> DebuggerConfig {
 fn sequential(trace: &Trace) -> Vec<BugReport> {
     let mut det = PmDebugger::new(config());
     for (seq, event) in trace.events().iter().enumerate() {
-        det.on_event(seq as u64, event);
+        det.on_event(seq as u64, &event.as_ref());
     }
     det.finish()
 }

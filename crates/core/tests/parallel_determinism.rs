@@ -215,7 +215,7 @@ fn build_trace(ops: &[Op]) -> Trace {
 fn sequential(config: &DebuggerConfig, trace: &Trace) -> (Vec<String>, u64, u64) {
     let mut det = PmDebugger::new(config.clone());
     for (seq, event) in trace.events().iter().enumerate() {
-        det.on_event(seq as u64, event);
+        det.on_event(seq as u64, &event.as_ref());
     }
     let malformed = det.malformed_events();
     let reports: Vec<String> = det.finish().iter().map(|r| r.to_string()).collect();

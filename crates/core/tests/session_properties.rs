@@ -133,7 +133,7 @@ proptest! {
         let mut got = Vec::new();
         let chunks = chunked(&events, &splits);
         for (i, chunk) in chunks.iter().enumerate() {
-            got.extend(session.feed(chunk));
+            got.extend(session.feed(*chunk));
             if i + 1 < chunks.len() {
                 let ckpt = session.checkpoint();
                 // Doomed attempt: feed the next chunk, then throw the
@@ -169,9 +169,9 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// The borrowed-event entry point is byte-identical to the owned one:
-    /// `detect_stream_ref` over `PmEvent::as_ref` views reproduces the
-    /// `detect_stream` report list (and hash) exactly, for every model.
+    /// Borrowed events are byte-identical to owned ones: `detect_stream`
+    /// over `PmEvent::as_ref` views reproduces the report list (and hash)
+    /// of the owned slice exactly, for every model.
     #[test]
     fn ref_path_is_byte_identical_to_owned_path(
         events in proptest::collection::vec(any_event(), 1..120),
@@ -179,13 +179,13 @@ proptest! {
     ) {
         let expect = batch(model, &events);
         let got = PmDebugger::new(DebuggerConfig::for_model(model))
-            .detect_stream_ref(events.iter().map(PmEvent::as_ref));
+            .detect_stream(events.iter().map(PmEvent::as_ref));
         prop_assert_eq!(&got, &expect);
         prop_assert_eq!(report_hash(&got), report_hash(&expect));
     }
 
-    /// A session fed through an arbitrary interleaving of owned `feed`
-    /// and borrowed `feed_ref` chunks still matches the batch run.
+    /// A session fed through an arbitrary interleaving of owned slices and
+    /// borrowed-event iterators still matches the batch run.
     #[test]
     fn mixed_owned_and_ref_chunks_are_byte_identical(
         events in proptest::collection::vec(any_event(), 1..100),
@@ -197,7 +197,7 @@ proptest! {
         let mut got = Vec::new();
         for (i, chunk) in chunked(&events, &splits).into_iter().enumerate() {
             if i % 2 == 0 {
-                got.extend(session.feed_ref(chunk.iter().map(PmEvent::as_ref)));
+                got.extend(session.feed(chunk.iter().map(PmEvent::as_ref)));
             } else {
                 got.extend(session.feed(chunk));
             }

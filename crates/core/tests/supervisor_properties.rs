@@ -176,7 +176,7 @@ fn build_trace(ops: &[Op]) -> Trace {
 fn sequential_reports(config: &DebuggerConfig, trace: &Trace) -> Vec<pm_trace::BugReport> {
     let mut det = PmDebugger::new(config.clone());
     for (seq, event) in trace.events().iter().enumerate() {
-        det.on_event(seq as u64, event);
+        det.on_event(seq as u64, &event.as_ref());
     }
     det.finish()
 }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::events::{Addr, PmEvent};
+use crate::events::{Addr, PmEventRef};
 
 /// The ten bug types of the paper's Table 6, plus the two cross-thread
 /// persistency-ordering classes for lock-free PM structures that publish
@@ -183,8 +183,10 @@ pub trait Detector {
     fn name(&self) -> &str;
 
     /// Observes one event. `seq` is the zero-based index of the event in the
-    /// stream (used for report locations).
-    fn on_event(&mut self, seq: u64, event: &PmEvent);
+    /// stream (used for report locations). Events are borrowed views, so a
+    /// zero-copy walker over trace bytes and an owned [`crate::Trace`]
+    /// (through [`crate::PmEvent::as_ref`]) feed detectors the same way.
+    fn on_event(&mut self, seq: u64, event: &PmEventRef<'_>);
 
     /// Runs end-of-program checks (e.g. the no-durability-guarantee rule)
     /// and returns all reports accumulated over the whole run.
@@ -307,7 +309,7 @@ impl Detector for NopDetector {
         "nulgrind"
     }
 
-    fn on_event(&mut self, _seq: u64, _event: &PmEvent) {}
+    fn on_event(&mut self, _seq: u64, _event: &PmEventRef<'_>) {}
 
     fn finish(&mut self) -> Vec<BugReport> {
         Vec::new()
@@ -332,11 +334,11 @@ impl Detector for CountingDetector {
         "counting"
     }
 
-    fn on_event(&mut self, _seq: u64, event: &PmEvent) {
+    fn on_event(&mut self, _seq: u64, event: &PmEventRef<'_>) {
         match event {
-            PmEvent::Store { .. } => self.stores += 1,
-            PmEvent::Flush { .. } => self.flushes += 1,
-            PmEvent::Fence { .. } => self.fences += 1,
+            PmEventRef::Store { .. } => self.stores += 1,
+            PmEventRef::Flush { .. } => self.flushes += 1,
+            PmEventRef::Fence { .. } => self.fences += 1,
             _ => self.other += 1,
         }
     }
@@ -349,7 +351,7 @@ impl Detector for CountingDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{FenceKind, ThreadId};
+    use crate::events::{FenceKind, PmEvent, ThreadId};
 
     #[test]
     fn all_kinds_listed_once() {
@@ -416,7 +418,7 @@ mod tests {
         let mut det = CountingDetector::default();
         det.on_event(
             0,
-            &PmEvent::Store {
+            &PmEventRef::Store {
                 addr: 0,
                 size: 8,
                 tid: ThreadId(0),
@@ -431,9 +433,10 @@ mod tests {
                 tid: ThreadId(0),
                 strand: None,
                 in_epoch: false,
-            },
+            }
+            .as_ref(),
         );
-        det.on_event(2, &PmEvent::EpochBegin { tid: ThreadId(0) });
+        det.on_event(2, &PmEventRef::EpochBegin { tid: ThreadId(0) });
         assert_eq!((det.stores, det.fences, det.other), (1, 1, 1));
         assert!(det.finish().is_empty());
     }
@@ -441,7 +444,7 @@ mod tests {
     #[test]
     fn detectors_are_object_safe() {
         let mut boxed: Box<dyn Detector> = Box::new(NopDetector);
-        boxed.on_event(0, &PmEvent::EpochBegin { tid: ThreadId(0) });
+        boxed.on_event(0, &PmEventRef::EpochBegin { tid: ThreadId(0) });
         assert_eq!(boxed.name(), "nulgrind");
     }
 }

@@ -245,24 +245,7 @@ impl PmEvent {
     /// per-kind bookkeeping use a flat array instead of a map.
     #[inline]
     pub fn kind_index(&self) -> usize {
-        match self {
-            PmEvent::RegisterPmem { .. } => 0,
-            PmEvent::Store { .. } => 1,
-            PmEvent::Flush { .. } => 2,
-            PmEvent::Fence { .. } => 3,
-            PmEvent::EpochBegin { .. } => 4,
-            PmEvent::EpochEnd { .. } => 5,
-            PmEvent::StrandBegin { .. } => 6,
-            PmEvent::StrandEnd { .. } => 7,
-            PmEvent::JoinStrand { .. } => 8,
-            PmEvent::TxLog { .. } => 9,
-            PmEvent::FuncEnter { .. } => 10,
-            PmEvent::Annotation(_) => 11,
-            PmEvent::NameRange { .. } => 12,
-            PmEvent::Crash => 13,
-            PmEvent::RecoveryRead { .. } => 14,
-            PmEvent::Cas { .. } => 15,
-        }
+        self.as_ref().kind_index()
     }
 
     /// Stable lowercase kind name (see [`Self::KIND_NAMES`]).
@@ -273,18 +256,7 @@ impl PmEvent {
     /// The address range `[addr, addr + size)` the event touches, if any.
     #[inline]
     pub fn range(&self) -> Option<(Addr, u64)> {
-        match self {
-            PmEvent::Store { addr, size, .. } | PmEvent::Flush { addr, size, .. } => {
-                Some((*addr, u64::from(*size)))
-            }
-            PmEvent::TxLog { obj_addr, size, .. } => Some((*obj_addr, u64::from(*size))),
-            PmEvent::RegisterPmem { base, size } => Some((*base, *size)),
-            PmEvent::NameRange { addr, size, .. } | PmEvent::RecoveryRead { addr, size } => {
-                Some((*addr, u64::from(*size)))
-            }
-            PmEvent::Cas { addr, size, .. } => Some((*addr, u64::from(*size))),
-            _ => None,
-        }
+        self.as_ref().range()
     }
 }
 
@@ -513,8 +485,7 @@ impl<'a> PmEventRef<'a> {
         }
     }
 
-    /// Dense kind index, identical to [`PmEvent::kind_index`] on the
-    /// corresponding owned event.
+    /// Dense index of the event's kind into [`PmEvent::KIND_NAMES`].
     #[inline(always)]
     pub fn kind_index(&self) -> usize {
         match self {
@@ -538,7 +509,6 @@ impl<'a> PmEventRef<'a> {
     }
 
     /// The address range `[addr, addr + size)` the event touches, if any.
-    /// Identical to [`PmEvent::range`] on the corresponding owned event.
     #[inline(always)]
     pub fn range(&self) -> Option<(Addr, u64)> {
         match self {
@@ -560,7 +530,14 @@ impl PmEvent {
     /// A borrowed view of this event; names borrow from `self`.
     #[inline]
     pub fn as_ref(&self) -> PmEventRef<'_> {
-        match self {
+        self.into()
+    }
+}
+
+impl<'a> From<&'a PmEvent> for PmEventRef<'a> {
+    #[inline]
+    fn from(event: &'a PmEvent) -> PmEventRef<'a> {
+        match event {
             PmEvent::RegisterPmem { base, size } => PmEventRef::RegisterPmem {
                 base: *base,
                 size: *size,

@@ -81,10 +81,7 @@ pub use recorder::{
     replay_finish_events, splitmix64, Trace, TraceStats,
 };
 pub use runtime::{PmRuntime, RunSummary, RuntimeError};
-pub use shard::{
-    EventColumns, KeyedChunk, PlanBuilder, Route, RouteCursor, ShardPlan, KEY_BROADCAST,
-    SHARD_BLOCK,
-};
+pub use shard::{KeyedChunk, PlanBuilder, Route, ShardPlan, KEY_BROADCAST, SHARD_BLOCK};
 pub use summary::BugSummary;
 pub use zerocopy::{zero_copy, FrameWalker, MappedTrace, ZeroCopy};
 

@@ -138,7 +138,7 @@ where
     I: IntoIterator<Item = &'a PmEvent>,
 {
     for (seq, event) in events.into_iter().enumerate() {
-        detector.on_event(seq as u64, event);
+        detector.on_event(seq as u64, &event.as_ref());
     }
 }
 

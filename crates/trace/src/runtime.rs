@@ -205,7 +205,7 @@ impl PmRuntime {
             tap.by_kind[event.kind_index()].inc();
         }
         for det in &mut self.detectors {
-            det.on_event(seq, &event);
+            det.on_event(seq, &event.as_ref());
         }
         if let Some(trace) = &mut self.trace {
             trace.push(event);

@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::events::{Addr, PmEvent, PmEventRef, CAS_PUBLISH_WINDOW};
+use crate::events::{Addr, PmEvent, CAS_PUBLISH_WINDOW};
 
 /// Granularity block for shard planning, in bytes. A multiple of the cache
 /// line (64 B): overlap still implies a shared block, while intra-block
@@ -81,18 +81,6 @@ fn routed_range(event: &PmEvent) -> Option<(Addr, u64)> {
         PmEvent::NameRange { addr, size, .. } => Some((*addr, u64::from(*size))),
         PmEvent::RecoveryRead { addr, size } => Some((*addr, u64::from(*size))),
         PmEvent::Cas { addr, size, .. } => Some((*addr, u64::from(*size))),
-        _ => None,
-    }
-}
-
-/// [`routed_range`] over a borrowed event view.
-fn routed_range_ref(event: &PmEventRef<'_>) -> Option<(Addr, u64)> {
-    match event {
-        PmEventRef::Store { addr, size, .. } => Some((*addr, u64::from(*size))),
-        PmEventRef::Flush { addr, size, .. } => Some((*addr, u64::from(*size))),
-        PmEventRef::NameRange { addr, size, .. } => Some((*addr, u64::from(*size))),
-        PmEventRef::RecoveryRead { addr, size } => Some((*addr, u64::from(*size))),
-        PmEventRef::Cas { addr, size, .. } => Some((*addr, u64::from(*size))),
         _ => None,
     }
 }
@@ -367,19 +355,6 @@ impl std::fmt::Debug for ShardPlan {
     }
 }
 
-/// One-entry lookup memo for [`ShardPlan::route_with`].
-///
-/// Consecutive events overwhelmingly touch the block or segment the
-/// previous one did, so most lookups become two compares instead of a
-/// binary search.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RouteCursor {
-    start: u64,
-    /// Exclusive end block; 0 marks an empty cursor.
-    end: u64,
-    shard: usize,
-}
-
 /// The observe-phase product: frozen bridge segments plus the key space,
 /// ready to label events. Splitting the build here lets callers run the
 /// (embarrassingly parallel) key pass over event chunks on several
@@ -408,114 +383,6 @@ pub struct KeyedChunk {
     pub broadcast: u64,
 }
 
-/// [`EventColumns`] tag: rangeless event, broadcast to every worker.
-const TAG_BROADCAST: u8 = 0;
-/// [`EventColumns`] tag: plain routed range (store, flush, recovery read).
-const TAG_RANGE: u8 = 1;
-/// [`EventColumns`] tag: named range, pinnable by an active order spec.
-const TAG_NAMED: u8 = 2;
-/// [`EventColumns`] tag: successful CAS — a routed range whose block span
-/// is additionally linked with the [`CAS_PUBLISH_WINDOW`] starting at the
-/// event's `links` column entry. Keyed like a plain range (by target
-/// block); the link only matters to the observe pass.
-const TAG_CAS_LINK: u8 = 3;
-
-/// Structure-of-arrays routing view of an event stream.
-///
-/// The observe and key passes only consume each event's routed range and
-/// whether it is a `NameRange` — three dense columns instead of the full
-/// enum. Zero-copy ingestion fills one of these with
-/// [`EventColumns::push_ref`] while walking frames, so shard planning runs
-/// over flat, cache-friendly arrays without materializing owned events.
-/// [`PlanBuilder::observe_columns`], [`PlanBuilder::key_columns`] and
-/// [`ShardPlan::build_columns`] produce bit-identical results to their
-/// event-slice counterparts over the same stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EventColumns {
-    /// Routed start address per event (0 for broadcast events).
-    addrs: Vec<Addr>,
-    /// Routed range length per event (0 for broadcast events).
-    sizes: Vec<u64>,
-    /// Routing class per event: [`TAG_BROADCAST`], [`TAG_RANGE`],
-    /// [`TAG_NAMED`] or [`TAG_CAS_LINK`].
-    tags: Vec<u8>,
-    /// Linked publish address per event (the CAS's installed value for
-    /// [`TAG_CAS_LINK`] rows, 0 otherwise).
-    links: Vec<Addr>,
-}
-
-impl EventColumns {
-    /// An empty column set.
-    pub fn new() -> EventColumns {
-        EventColumns::default()
-    }
-
-    /// An empty column set with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> EventColumns {
-        EventColumns {
-            addrs: Vec::with_capacity(capacity),
-            sizes: Vec::with_capacity(capacity),
-            tags: Vec::with_capacity(capacity),
-            links: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Columns for a full event slice.
-    pub fn from_events(events: &[PmEvent]) -> EventColumns {
-        let mut columns = EventColumns::with_capacity(events.len());
-        for event in events {
-            columns.push(event);
-        }
-        columns
-    }
-
-    /// Appends one owned event's routing view.
-    pub fn push(&mut self, event: &PmEvent) {
-        let (addr, size) = routed_range(event).unwrap_or((0, 0));
-        let (tag, link) = match event {
-            PmEvent::NameRange { .. } => (TAG_NAMED, 0),
-            PmEvent::Cas {
-                new, success: true, ..
-            } => (TAG_CAS_LINK, *new),
-            _ if routed_range(event).is_some() => (TAG_RANGE, 0),
-            _ => (TAG_BROADCAST, 0),
-        };
-        self.push_raw(addr, size, tag, link);
-    }
-
-    /// Appends one borrowed event's routing view — the zero-copy hot path;
-    /// no part of the event is retained.
-    pub fn push_ref(&mut self, event: &PmEventRef<'_>) {
-        let (addr, size) = routed_range_ref(event).unwrap_or((0, 0));
-        let (tag, link) = match event {
-            PmEventRef::NameRange { .. } => (TAG_NAMED, 0),
-            PmEventRef::Cas {
-                new, success: true, ..
-            } => (TAG_CAS_LINK, *new),
-            _ if routed_range_ref(event).is_some() => (TAG_RANGE, 0),
-            _ => (TAG_BROADCAST, 0),
-        };
-        self.push_raw(addr, size, tag, link);
-    }
-
-    fn push_raw(&mut self, addr: Addr, size: u64, tag: u8, link: Addr) {
-        self.addrs.push(addr);
-        self.sizes.push(size);
-        self.tags.push(tag);
-        self.links.push(link);
-    }
-
-    /// Number of events recorded.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-}
-
 impl PlanBuilder {
     /// Pass 1: union block-crossing ranges into bridge components over the
     /// full stream, then freeze them.
@@ -527,29 +394,6 @@ impl PlanBuilder {
         let mut planner = Planner::new(pin_named);
         for event in events {
             planner.observe(event);
-        }
-        PlanBuilder::freeze(planner, shards)
-    }
-
-    /// [`PlanBuilder::observe`] over a structure-of-arrays view: identical
-    /// segments, components and order key for the same stream.
-    pub fn observe_columns(columns: &EventColumns, shards: usize, pin_named: bool) -> PlanBuilder {
-        let mut planner = Planner::new(pin_named);
-        for i in 0..columns.len() {
-            let tag = columns.tags[i];
-            if tag == TAG_BROADCAST {
-                continue;
-            }
-            if tag == TAG_CAS_LINK {
-                planner.observe_link(
-                    columns.addrs[i],
-                    columns.sizes[i],
-                    columns.links[i],
-                    CAS_PUBLISH_WINDOW,
-                );
-            } else {
-                planner.observe_range(columns.addrs[i], columns.sizes[i], tag == TAG_NAMED);
-            }
         }
         PlanBuilder::freeze(planner, shards)
     }
@@ -608,42 +452,6 @@ impl PlanBuilder {
             };
             out.routed += 1;
             let block = addr / SHARD_BLOCK;
-            if !(m_start <= block && block < m_end) {
-                (m_start, m_end, m_key) = match ShardPlan::segment_covering(&self.segments, block) {
-                    Some(seg) => seg,
-                    None => (
-                        block,
-                        block + 1,
-                        self.components as u32 + (mix(block) % u64::from(SINGLETON_BUCKETS)) as u32,
-                    ),
-                };
-            }
-            out.counts[m_key as usize] += 1;
-            out.keys.push(m_key);
-        }
-        out
-    }
-
-    /// [`PlanBuilder::key_chunk`] over a structure-of-arrays view. Pure
-    /// per-event like the slice form, so column chunks may be keyed
-    /// concurrently; over the same stream the output is bit-identical.
-    pub fn key_columns(&self, columns: &EventColumns) -> KeyedChunk {
-        let mut out = KeyedChunk {
-            keys: Vec::with_capacity(columns.len()),
-            counts: vec![0u64; self.key_count()],
-            routed: 0,
-            broadcast: 0,
-        };
-        // Memoized (start, end, key) of the last resolved block range.
-        let (mut m_start, mut m_end, mut m_key) = (0u64, 0u64, 0u32);
-        for (i, &tag) in columns.tags.iter().enumerate() {
-            if tag == TAG_BROADCAST {
-                out.broadcast += 1;
-                out.keys.push(KEY_BROADCAST);
-                continue;
-            }
-            out.routed += 1;
-            let block = columns.addrs[i] / SHARD_BLOCK;
             if !(m_start <= block && block < m_end) {
                 (m_start, m_end, m_key) = match ShardPlan::segment_covering(&self.segments, block) {
                     Some(seg) => seg,
@@ -730,15 +538,6 @@ impl ShardPlan {
         builder.finish(vec![chunk])
     }
 
-    /// [`ShardPlan::build`] over a structure-of-arrays view
-    /// ([`EventColumns`]); bit-identical to building from the event slice
-    /// the columns were derived from.
-    pub fn build_columns(columns: &EventColumns, shards: usize, pin_named: bool) -> ShardPlan {
-        let builder = PlanBuilder::observe_columns(columns, shards, pin_named);
-        let chunk = builder.key_columns(columns);
-        builder.finish(vec![chunk])
-    }
-
     /// Number of shards the plan routes to.
     pub fn shard_count(&self) -> usize {
         self.shards
@@ -817,28 +616,6 @@ impl ShardPlan {
             Some((addr, _)) => Route::Shard(self.shard_of_addr(addr)),
             None => Route::Broadcast,
         }
-    }
-
-    /// Like [`ShardPlan::route`], memoized through `cursor` — for routing
-    /// loops over streams without precomputed keys.
-    pub fn route_with(&self, event: &PmEvent, cursor: &mut RouteCursor) -> Route {
-        let Some((addr, _)) = routed_range(event) else {
-            return Route::Broadcast;
-        };
-        let block = addr / SHARD_BLOCK;
-        if cursor.start <= block && block < cursor.end {
-            return Route::Shard(cursor.shard);
-        }
-        let (start, end, shard) = match Self::segment_covering(&self.segments, block) {
-            Some((s, e, key)) => (s, e, self.key_workers[key as usize] as usize),
-            None => (
-                block,
-                block + 1,
-                self.key_workers[self.singleton_key(block) as usize] as usize,
-            ),
-        };
-        *cursor = RouteCursor { start, end, shard };
-        Route::Shard(shard)
     }
 }
 
@@ -1117,18 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_routing_matches_plain_routing() {
-        let events: Vec<PmEvent> = (0..400)
-            .map(|i| store((i * 37) % 1024 * 128, if i % 5 == 0 { 2048 } else { 8 }))
-            .collect();
-        let plan = ShardPlan::build(&events, 8, false);
-        let mut cursor = RouteCursor::default();
-        for e in &events {
-            assert_eq!(plan.route_with(e, &mut cursor), plan.route(e));
-        }
-    }
-
-    #[test]
     fn hot_regions_spread_over_workers() {
         // Eight hot single-block regions with many events each, plus a
         // spread of cold blocks: greedy assignment must not pile the hot
@@ -1225,112 +990,5 @@ mod tests {
             }
         }
         assert_eq!(plan.worker_loads(), &walked[..]);
-    }
-
-    /// A stream hitting every routing class: plain ranges (stores, flushes,
-    /// recovery reads, some block-crossing), named ranges, and a spread of
-    /// broadcast kinds (fences, tx-log appends, pool registration).
-    fn mixed_stream() -> Vec<PmEvent> {
-        let mut events = vec![
-            PmEvent::RegisterPmem {
-                base: 0,
-                size: 1 << 20,
-            },
-            PmEvent::NameRange {
-                name: "head".into(),
-                addr: 3 * B - 16,
-                size: 64,
-            },
-            PmEvent::NameRange {
-                name: "tail".into(),
-                addr: 40 * B,
-                size: 8,
-            },
-        ];
-        for i in 0..400u64 {
-            events.push(match i % 9 {
-                0 => PmEvent::Fence {
-                    kind: FenceKind::Sfence,
-                    tid: ThreadId(0),
-                    strand: None,
-                    in_epoch: false,
-                },
-                1 => PmEvent::TxLog {
-                    obj_addr: i * 24,
-                    size: 8,
-                    tid: ThreadId(0),
-                },
-                2 => flush((i * 53) % 512 * 160, if i % 6 == 0 { 3000 } else { 64 }),
-                3 => PmEvent::RecoveryRead {
-                    addr: (i * 37) % 1024 * 96,
-                    size: 16,
-                },
-                5 => PmEvent::Cas {
-                    addr: (i * 29) % 1024 * 112,
-                    size: 8,
-                    tid: ThreadId(1),
-                    old: i,
-                    new: (i * 71) % 2048 * 80,
-                    success: i % 2 == 1,
-                },
-                _ => store((i * 53) % 2048 * 96, if i % 7 == 0 { 2048 } else { 16 }),
-            });
-        }
-        events
-    }
-
-    #[test]
-    fn columns_from_events_match_columns_from_refs() {
-        let events = mixed_stream();
-        let owned = EventColumns::from_events(&events);
-        let mut borrowed = EventColumns::with_capacity(events.len());
-        for event in &events {
-            borrowed.push_ref(&event.as_ref());
-        }
-        assert_eq!(owned, borrowed);
-        assert_eq!(owned.len(), events.len());
-    }
-
-    #[test]
-    fn column_observe_pass_matches_event_observe_pass() {
-        let events = mixed_stream();
-        let columns = EventColumns::from_events(&events);
-        for pin_named in [false, true] {
-            let by_events = PlanBuilder::observe(&events, 4, pin_named);
-            let by_columns = PlanBuilder::observe_columns(&columns, 4, pin_named);
-            assert_eq!(by_events.segments, by_columns.segments, "pin={pin_named}");
-            assert_eq!(by_events.components, by_columns.components);
-            assert_eq!(by_events.order_key, by_columns.order_key);
-        }
-    }
-
-    #[test]
-    fn column_key_pass_matches_event_key_pass() {
-        let events = mixed_stream();
-        let columns = EventColumns::from_events(&events);
-        let builder = PlanBuilder::observe(&events, 4, true);
-        let by_events = builder.key_chunk(&events);
-        let by_columns = builder.key_columns(&columns);
-        assert_eq!(by_events.keys, by_columns.keys);
-        assert_eq!(by_events.counts, by_columns.counts);
-        assert_eq!(by_events.routed, by_columns.routed);
-        assert_eq!(by_events.broadcast, by_columns.broadcast);
-    }
-
-    #[test]
-    fn column_built_plan_is_bit_identical_to_event_built_plan() {
-        let events = mixed_stream();
-        let columns = EventColumns::from_events(&events);
-        for (shards, pin_named) in [(1, false), (4, false), (4, true), (8, true)] {
-            let by_events = ShardPlan::build(&events, shards, pin_named);
-            let by_columns = ShardPlan::build_columns(&columns, shards, pin_named);
-            assert_eq!(by_events.keys(), by_columns.keys());
-            assert_eq!(by_events.key_workers(), by_columns.key_workers());
-            assert_eq!(by_events.segments, by_columns.segments);
-            assert_eq!(by_events.routed_events(), by_columns.routed_events());
-            assert_eq!(by_events.broadcast_events(), by_columns.broadcast_events());
-            assert_eq!(by_events.worker_loads(), by_columns.worker_loads());
-            assert_eq!(by_events.component_count(), by_columns.component_count());
-        }
     }
 }

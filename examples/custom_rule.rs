@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example custom_rule`
 
-use pm_trace::{BugKind, BugReport, PmEvent, PmRuntime};
+use pm_trace::{BugKind, BugReport, PmEventRef, PmRuntime};
 use pmdebugger::{CustomRule, EpochSizeRule, FlushAmplificationRule, PmDebugger, SpaceView};
 use pmem_sim::FlushKind;
 
@@ -24,13 +24,18 @@ impl CustomRule for PublishBeforeInit {
         "publish-before-init"
     }
 
-    fn on_event(&mut self, seq: u64, event: &PmEvent, view: &SpaceView<'_>) -> Vec<BugReport> {
+    fn on_event(
+        &mut self,
+        seq: u64,
+        event: &PmEventRef<'_>,
+        view: &SpaceView<'_>,
+    ) -> Vec<BugReport> {
         match event {
-            PmEvent::Store { addr, size, .. } => {
+            PmEventRef::Store { addr, size, .. } => {
                 self.pending_sizes.push((*addr, *size));
                 Vec::new()
             }
-            PmEvent::Fence { .. } => {
+            PmEventRef::Fence { .. } => {
                 // A pointer-sized store published while a big earlier store
                 // is still tracked as volatile?
                 let mut reports = Vec::new();

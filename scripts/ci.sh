@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo CI gate: staged pipeline with per-stage timing. Run from anywhere.
 #
-#   lint -> fmt -> unit -> integration -> docs -> bench-smoke -> ingest-bench
-#     -> obs-smoke -> sweeps -> daemon-smoke -> pmbench
+#   lint -> fmt -> unit -> integration -> docs -> examples -> bench-smoke
+#     -> ingest-bench -> obs-smoke -> sweeps -> daemon-smoke -> pmbench
 #
 # Every run writes target/ci_timings.json (override: PM_CI_TIMINGS_JSON), a
 # machine-readable ledger of {stage, seconds, status} rows plus an overall
@@ -20,6 +20,9 @@
 #             golden-snapshot fixtures)
 # docs        doc tests (asserting pm-obs contributes documented examples),
 #             then rustdoc with warnings as errors
+# examples    runs every `[[example]]` of the root Cargo.toml in release,
+#             failing on a non-zero exit (the examples assert their own
+#             results), and prints each one's seconds
 # bench-smoke regenerates the parallel-pipeline benchmark in smoke mode and
 #             gates on the committed baseline (scripts/bench_gate.sh):
 #             report-equivalent and baseline report hashes on every
@@ -97,7 +100,7 @@ cd "$(dirname "$0")/.."
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint fmt unit integration docs bench-smoke ingest-bench obs-smoke sweeps daemon-smoke pmbench)
+  STAGES=(lint fmt unit integration docs examples bench-smoke ingest-bench obs-smoke sweeps daemon-smoke pmbench)
 fi
 
 # Shared wall-clock budget for each chaos sweep run, in seconds.
@@ -168,19 +171,29 @@ docs_stage() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 }
 
+examples_stage() {
+  local name start
+  cargo build -q --release --offline --examples
+  for name in $(sed -n '/^\[\[example\]\]/,/^name/s/^name = "\(.*\)"/\1/p' Cargo.toml); do
+    start=$(date +%s%N)
+    cargo run -q --release --offline --example "${name}" >/dev/null
+    echo "example ${name}: ok in $((($(date +%s%N) - start) / 1000000)) ms"
+  done
+}
+
 # The sweep runs CI gates, one row each: sweep name, plan count, gated
 # counters ("-" for none), then extra pmdbg args. A bare counter must be
 # present and zero; `key=value` pins a tally to exactly that value, and
 # `group.key=value` pins it inside the `group` object. Per fault class of
 # the perturb sweep: injections, benign ones, and semantic ones that
-# escaped all four detectors (the one torn store is a known blind spot).
+# escaped all four detectors.
 PERTURB_PINS="drop-flush.injected=20,drop-flush.benign=0,drop-flush.escaped=0"
 PERTURB_PINS+=",drop-fence.injected=14,drop-fence.benign=13,drop-fence.escaped=0"
 PERTURB_PINS+=",duplicate-flush.injected=20,duplicate-flush.benign=20,duplicate-flush.escaped=0"
 PERTURB_PINS+=",duplicate-fence.injected=14,duplicate-fence.benign=14,duplicate-fence.escaped=0"
 PERTURB_PINS+=",reorder-flush-fence.injected=14,reorder-flush-fence.benign=13"
-PERTURB_PINS+=",reorder-flush-fence.escaped=0,tear-store.injected=37,tear-store.benign=36"
-PERTURB_PINS+=",tear-store.escaped=1,swap-epoch-markers.injected=0"
+PERTURB_PINS+=",reorder-flush-fence.escaped=0,tear-store.injected=37,tear-store.benign=37"
+PERTURB_PINS+=",tear-store.escaped=0,swap-epoch-markers.injected=0"
 PERTURB_PINS+=",swap-epoch-markers.benign=0,swap-epoch-markers.escaped=0,untested=0"
 SWEEP_NAMES=(corrupt supervise serve thread-crash daemon-crash mem-pressure crash-points perturb)
 SWEEP_RUNS=(
@@ -189,7 +202,7 @@ SWEEP_RUNS=(
   "supervise 200 degraded_runs=95,faults_injected=798,lost_events=13388,quarantined_shards=142,retries=225"
   "serve 200 ok_sessions=150,quarantined_sessions=25,hash_checks=175,frames_lost_total=910,retries_total=54"
   "thread-crash 100 killed_threads=283,reports_agreed=312,surviving_events=56410"
-  "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=71,torn_discarded_total=42"
+  "daemon-crash 100 verdicts_lost,verdicts_duplicated,replayed_from_ledger=119,resumed_from_checkpoint=72,torn_discarded_total=42"
   "mem-pressure 100 verdict_divergence"
   "crash-points 71 boundaries=71,images=149,untested=0"
   "perturb 119 ${PERTURB_PINS}"
@@ -325,6 +338,9 @@ for stage in "${STAGES[@]}"; do
       ;;
     docs)
       run_stage docs docs_stage
+      ;;
+    examples)
+      run_stage examples examples_stage
       ;;
     bench-smoke)
       run_stage bench-smoke scripts/bench_gate.sh parallel

@@ -65,7 +65,7 @@ fn render_sequential(
     let model = model_label(config.model);
     let mut detector = PmDebugger::with_metrics(config, &registry);
     for (seq, event) in trace.events().iter().enumerate() {
-        detector.on_event(seq as u64, event);
+        detector.on_event(seq as u64, &event.as_ref());
     }
     let reports = detector.finish();
     for (kind, count) in trace.kind_counts() {
